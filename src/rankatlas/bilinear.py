@@ -173,8 +173,7 @@ def nonsingularity_margin(f: BilinearMap, budget: OptBudget | None = None,
     zero (neither is a proof).
     """
     budget = budget or OptBudget()
-    rng = np.random.default_rng(seed) if not isinstance(
-        seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     C = f.coeffs
 
     def val_and_grads(x, y):

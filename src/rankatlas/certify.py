@@ -174,28 +174,40 @@ class Inconclusive:
 Verdict = Union[RankP, RankExceedsP, Inconclusive]
 
 
+def _binary_scaled(T: Tensor3) -> tuple[Tensor3, int]:
+    """T divided by 2**e, the power of two nearest max |T|, and e.  The
+    division is exact, and it keeps Frobenius norms of T and of residuals
+    finite and nonzero at any scale."""
+    e = int(np.frexp(np.max(np.abs(T.data)))[1])
+    return Tensor3(np.ldexp(T.data, -e)), e
+
+
 def _problem_dims(T: Tensor3) -> ProblemDims:
     n, p, m = T.d1, T.d2, T.d3
     return ProblemDims(m=m, n=n, p=p)
 
 
 def _select_independent(candidates, p, rtol=1e-8):
-    """Pick up to p well-conditioned phi columns by pivoted QR.
+    """Pick up to p well-conditioned phi columns by column-pivoted
+    Gram-Schmidt: each step takes the column of largest residual norm.
 
     Incremental greedy can trap itself: a marginally independent column
     caps the reachable singular values of every later extension, so the
     selection is redone over the whole candidate pool each time.
     """
-    import scipy.linalg as sla
-
-    Phi = np.column_stack([col for col, _ in candidates])
-    R, piv = sla.qr(Phi, mode="r", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] == 0:
-        return 0, []
-    span = int(np.sum(diag > rtol * diag[0]))
-    order = [int(j) for j in piv[: min(span, p)]]
-    return span, [candidates[j][1] for j in order]
+    res = np.column_stack([col for col, _ in candidates])
+    piv, first = [], 0.0
+    for _ in range(res.shape[0]):
+        norms = np.linalg.norm(res, axis=0)
+        norms[piv] = -1.0
+        j = int(np.argmax(norms))
+        if not norms[j] > rtol * first:
+            break
+        first = first or norms[j]
+        q = res[:, j] / norms[j]
+        res -= np.outer(q, q @ res)
+        piv.append(j)
+    return len(piv), [candidates[j][1] for j in piv[:p]]
 
 
 def _assemble(T, W, dims, budget, chosen, diagnostics):
@@ -207,7 +219,7 @@ def _assemble(T, W, dims, budget, chosen, diagnostics):
     N = np.vstack(blocks)
     condN = np.linalg.cond(N)
     diagnostics["cond_N"] = float(condN)
-    if not np.isfinite(condN) or condN > budget.cond_limit_N:
+    if not condN <= budget.cond_limit_N:
         return None
     Q = np.linalg.inv(N)
 
@@ -217,14 +229,14 @@ def _assemble(T, W, dims, budget, chosen, diagnostics):
         sum(W.slice(k) @ A @ np.diag(D[:, k]) for k in range(m))))
     diagnostics["pencil_residual"] = pencil_res
     diagnostics["matrix_eq_residual"] = eq_res
-    if pencil_res > budget.residual_tol or eq_res > budget.residual_tol:
+    if not max(pencil_res, eq_res) <= budget.residual_tol:
         return None
 
     top = flatten(T, 2)[:p, :]
     That = np.stack([A @ np.diag(D[:, k]) @ Q @ top for k in range(m)])
     residual = float(np.linalg.norm(That - T.data) / np.linalg.norm(T.data))
     diagnostics["residual"] = residual
-    if residual > budget.residual_tol:
+    if not residual <= budget.residual_tol:
         return None
     return RankCertificate(
         dims=dims, points=chosen, A=A, D=D, N=N, Q=Q,
@@ -268,12 +280,14 @@ def certify(T: Tensor3, budget: CertifyBudget | None = None,
     tolerance settles rank > p; otherwise real rank-drop points of the
     pencil are collected until their phi images span R^p and the resulting
     p-term reconstruction is verified.  The search is not complete, so a
-    failed hunt yields Inconclusive, never a rank claim.
+    failed hunt yields Inconclusive, never a rank claim.  T is first divided
+    by the power of two nearest max |T|, so that residuals stay finite at
+    any scale.
     """
     budget = budget or CertifyBudget()
-    rng = np.random.default_rng(seed) if not isinstance(
-        seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     dims = _problem_dims(T)
+    T = _binary_scaled(T)[0]
     W = iota_tensor(sigma(T), dims.n, dims.m)
 
     diagnostics: dict = {}
@@ -312,9 +326,11 @@ def decompose(T: Tensor3, cert: RankCertificate) -> CPFactors:
     dims = cert.dims
     if (T.d1, T.d2, T.d3) != (dims.n, dims.p, dims.m):
         raise ValueError("certificate does not match the tensor's size")
+    T, e = _binary_scaled(T)
     top = flatten(T, 2)[: dims.p, :]
     B = (cert.Q @ top).T           # p x p, column j is the mode-2 factor
     C = cert.D.T.copy()            # m x p
     That = np.einsum("ij,aj,kj->kia", cert.A, B, C)
     residual = float(np.linalg.norm(That - T.data) / np.linalg.norm(T.data))
-    return CPFactors(A=cert.A.copy(), B=B, C=C, residual=residual)
+    return CPFactors(A=cert.A.copy(), B=np.ldexp(B, e), C=C,
+                     residual=residual)

@@ -141,8 +141,7 @@ def als_fit(T: Tensor3, r: int, budget: AlsBudget | None = None,
     if r < 1:
         raise ValueError("rank must be positive")
     budget = budget or AlsBudget()
-    rng = np.random.default_rng(seed) if not isinstance(
-        seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     X = np.transpose(T.data, (1, 2, 0))  # (d1, d2, d3)
     d1, d2, d3 = X.shape
     X1 = X.reshape(d1, d2 * d3)                      # = A (B kr C)^T
@@ -208,8 +207,7 @@ def terracini_generic_rank(m: int, n: int, p: int,
     whole m*n*p space (numerical rank with relative threshold ``rtol``)."""
     if min(m, n, p) < 1:
         raise ValueError("dimensions must be positive")
-    rng = np.random.default_rng(seed) if not isinstance(
-        seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     full = m * n * p
     eye_m, eye_n, eye_p = np.eye(m), np.eye(n), np.eye(p)
     for r in range(1, full + 1):

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.optimize
 
 __all__ = [
     "Tensor3",
@@ -51,6 +49,10 @@ class Tensor3:
         arr = np.ascontiguousarray(np.asarray(self.data, dtype=float))
         if arr.ndim != 3:
             raise ValueError(f"Tensor3 needs a 3-way array, got ndim={arr.ndim}")
+        if 0 in arr.shape:
+            raise ValueError(f"Tensor3 dimensions must be positive: {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("Tensor3 entries must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -76,6 +78,8 @@ class Tensor3:
 
     @classmethod
     def from_flat(cls, d1: int, d2: int, d3: int, flat) -> "Tensor3":
+        if min(d1, d2, d3) < 1:
+            raise ValueError(f"dimensions must be positive, got {d1} {d2} {d3}")
         arr = np.asarray(flat, dtype=float)
         if arr.size != d1 * d2 * d3:
             raise ValueError(
@@ -353,45 +357,64 @@ def _unit(x: np.ndarray) -> np.ndarray:
 
 
 def _canonical_sign(a: np.ndarray) -> np.ndarray:
-    i = int(np.argmax(np.abs(a)))
-    return -a if a[i] < 0 else a
+    """a, or each row of a, with its largest-magnitude entry positive."""
+    i = np.argmax(np.abs(a), axis=-1)[..., None]
+    return a * np.where(np.take_along_axis(a, i, -1) < 0, -1.0, 1.0)
 
 
-def _sigma_ratio(M: np.ndarray) -> tuple[float, float]:
-    s = np.linalg.svd(M, compute_uv=False)
-    n = M.shape[1]
-    top = s[0] if s[0] > 0 else 1.0
-    return float(s[n - 1]), float(s[n - 1] / top)
+def _pencils(a: np.ndarray, Y: Tensor3) -> np.ndarray:
+    """Stacked M(a_r, Y) for the rows a_r of ``a``."""
+    return np.einsum("rk,kij->rij", a, Y.data)
+
+
+def _rank_deficient(Y: Tensor3, a: np.ndarray, tol: float) -> np.ndarray:
+    """The rows of ``a`` at which sigma_n / sigma_1 of the pencil is below
+    ``tol``."""
+    s = np.linalg.svd(_pencils(a, Y), compute_uv=False)
+    top = np.where(s[:, 0] > 0, s[:, 0], 1.0)
+    return a[s[:, Y.d2 - 1] / top < tol]
+
+
+def _pencil_eigvals(A: np.ndarray, B: np.ndarray):
+    """Homogeneous eigenvalues (alpha, beta) with det(beta A - alpha B) = 0,
+    for one pencil or a stack of them.
+
+    The basis (A, B) is rotated to (cA + sB, cB - sA), c = cos t and
+    s = sin t, at the angle t in {0, pi/4, pi/2, 3pi/4} whose second matrix
+    is best conditioned, so that the ordinary eigenvalues of B'^-1 A' can
+    be taken; they are rotated back.
+    """
+    t = np.pi / 4 * np.arange(4).reshape((-1,) + (1,) * A.ndim)
+    Ar, Br = np.cos(t) * A + np.sin(t) * B, np.cos(t) * B - np.sin(t) * A
+    sv = np.linalg.svd(Br, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        best = np.nan_to_num(sv[..., -1] / sv[..., 0]).argmax(axis=0)
+    pick = best[None, ..., None, None]
+    lam = np.linalg.eigvals(np.linalg.solve(
+        np.take_along_axis(Br, pick, 0)[0], np.take_along_axis(Ar, pick, 0)[0]))
+    t = np.pi / 4 * best[..., None]
+    return lam * np.cos(t) - np.sin(t), np.cos(t) + lam * np.sin(t)
 
 
 def _square_line_roots(Y: Tensor3, rng, lines: int, tol: float):
     """Real zeros of det M(a, Y) on random lines, via generalized eigenvalues."""
-    m = Y.d3
-    out = []
-    for _ in range(lines):
-        a0 = _unit(rng.standard_normal(m))
-        a1 = _unit(rng.standard_normal(m))
-        A0, A1 = contract_pencil(a0, Y), contract_pencil(a1, Y)
-        try:
-            w = sla.eig(A0, -A1, right=False, homogeneous_eigvals=True)
-        except (ValueError, sla.LinAlgError):
-            continue
-        for al, be in zip(w[0], w[1]):
-            scale = max(abs(al), abs(be))
-            if not np.isfinite(scale) or scale < 1e-12:
-                continue
-            al, be = al / scale, be / scale
-            if abs(al.imag) > 1e-9 or abs(be.imag) > 1e-9:
-                continue
-            a = be.real * a0 + al.real * a1
-            norm = np.linalg.norm(a)
-            if norm < 1e-10:
-                continue
-            a = a / norm
-            _, ratio = _sigma_ratio(contract_pencil(a, Y))
-            if ratio < tol:
-                out.append(a)
-    return out
+    ends = rng.standard_normal((lines, 2, Y.d3))
+    ends /= np.linalg.norm(ends, axis=2, keepdims=True)
+    try:
+        al, be = _pencil_eigvals(_pencils(ends[:, 0], Y),
+                                 -_pencils(ends[:, 1], Y))
+    except np.linalg.LinAlgError:
+        return np.empty((0, Y.d3))
+    scale = np.maximum(np.abs(al), np.abs(be))
+    keep = np.isfinite(scale) & (scale >= 1e-12)
+    line = np.nonzero(keep)[0]
+    al, be = al[keep] / scale[keep], be[keep] / scale[keep]
+    real = (np.abs(al.imag) <= 1e-9) & (np.abs(be.imag) <= 1e-9)
+    line = line[real]
+    a = be.real[real, None] * ends[line, 0] + al.real[real, None] * ends[line, 1]
+    norm = np.linalg.norm(a, axis=1, keepdims=True)
+    big = norm[:, 0] >= 1e-10
+    return _rank_deficient(Y, a[big] / norm[big], tol)
 
 
 def _two_param_roots(Y: Tensor3, rng, tol: float):
@@ -413,108 +436,81 @@ def _two_param_roots(Y: Tensor3, rng, tol: float):
     A2, B2, C2 = P2 @ Z[0], P2 @ Z[1], P2 @ Z[2]
     D0 = np.kron(B1, C2) - np.kron(C1, B2)
     D1 = np.kron(C1, A2) - np.kron(A1, C2)
-    out = []
     try:
-        w = sla.eig(D1, D0, right=False, homogeneous_eigvals=True)
-    except (ValueError, sla.LinAlgError):
-        return out
-    for al, be in zip(w[0], w[1]):
-        if abs(be) < 1e-10 * max(1.0, abs(al)):
-            continue
-        x = al / be
-        if abs(x.imag) > 1e-7 * (1.0 + abs(x.real)):
-            continue  # (1, x, y) can only be real with real x
-        x = complex(x.real)
-        try:
-            w2 = sla.eig(A1 + x * B1, -C1, right=False, homogeneous_eigvals=True)
-        except (ValueError, sla.LinAlgError):
-            continue
-        for al2, be2 in zip(w2[0], w2[1]):
-            if abs(be2) < 1e-10 * max(1.0, abs(al2)):
-                continue
-            y = al2 / be2
-            a_rot = np.array([1.0 + 0j, x, y])
-            if np.max(np.abs(a_rot.imag)) > 1e-7 * np.max(np.abs(a_rot.real)):
-                continue
-            a = _unit(R.T @ a_rot.real)
-            _, ratio = _sigma_ratio(contract_pencil(a, Y))
-            if ratio < tol:
-                out.append(a)
-    return out
+        al, be = _pencil_eigvals(D1, D0)
+        finite = np.abs(be) >= 1e-10 * np.maximum(1.0, np.abs(al))
+        x = al[finite] / be[finite]
+        # (1, x, y) can only be real with real x
+        x = x[np.abs(x.imag) <= 1e-7 * (1.0 + np.abs(x.real))].real
+        al, be = _pencil_eigvals(A1 + x[:, None, None] * B1, -C1)
+    except np.linalg.LinAlgError:
+        return np.empty((0, 3))
+    finite = np.abs(be) >= 1e-10 * np.maximum(1.0, np.abs(al))
+    y = al[finite] / be[finite]
+    x = np.broadcast_to(x[:, None], al.shape)[finite]
+    a_rot = np.stack([np.ones_like(x), x, y.real], axis=1)
+    real = np.abs(y.imag) <= 1e-7 * np.max(np.abs(a_rot), axis=1)
+    a = a_rot[real] @ R
+    return _rank_deficient(Y, a / np.linalg.norm(a, axis=1, keepdims=True), tol)
 
 
 def _multistart_roots(Y: Tensor3, rng, restarts: int, tol: float,
                       seeds=()):
-    """Nelder-Mead on a sphere chart plus Gauss-Newton polish on the maximal
-    minors; heuristic, used when no structured solver applies.  ``seeds``
-    (e.g. margin minimizers) are used as the first start points."""
+    """Batched Gauss-Newton on the kernel equation M(a, Y) b = 0 with
+    |a| = |b| = 1; heuristic, used when no structured solver applies.
+
+    ``seeds`` (e.g. margin minimizers) are the first start points, random
+    ones fill up to ``restarts``; b starts as the last right singular
+    vector of M(a).  Each step is the minimum-norm solution of the
+    linearization [sum_k Y_k b e_k^T | M(a)] (da, db) = -M(a) b with
+    da . a = db . b = 0, followed by renormalisation of a and b.
+    """
     m, u, n = Y.d3, Y.d1, Y.d2
-    rowsets = list(itertools.combinations(range(u), n))
-
-    def minors(a):
-        M = contract_pencil(a, Y)
-        return np.array([np.linalg.det(M[list(r), :]) for r in rowsets])
-
-    def minors_jac(a):
-        M = contract_pencil(a, Y)
-        J = np.zeros((len(rowsets), m))
-        for ri, r in enumerate(rowsets):
-            sub = M[list(r), :]
-            for k in range(m):
-                Wk = Y.data[k][list(r), :]
-                for rr in range(n):
-                    tmp = sub.copy()
-                    tmp[rr, :] = Wk[rr, :]
-                    J[ri, k] += np.linalg.det(tmp)
-        return J
-
-    starts = [np.asarray(s, dtype=float) for s in seeds]
-    out = []
-    for i in range(restarts):
-        a0 = _unit(starts[i]) if i < len(starts) else _unit(
-            rng.standard_normal(m))
-        basis = sla.null_space(a0[None, :])  # tangent chart at a0
-
-        def obj(xi):
-            a = _unit(a0 + basis @ xi)
-            s = np.linalg.svd(contract_pencil(a, Y), compute_uv=False)
-            return s[n - 1]
-
-        res = scipy.optimize.minimize(
-            obj, np.zeros(m - 1), method="Nelder-Mead",
-            options={"maxiter": 120, "xatol": 1e-9, "fatol": 1e-12})
-        a = _unit(a0 + basis @ res.x)
-        lam = 1e-3
-        for _ in range(40):  # Gauss-Newton / Levenberg-Marquardt polish
-            F = minors(a)
-            if np.linalg.norm(F) < 1e-15:
-                break
-            J = minors_jac(a)
-            try:
-                step = np.linalg.solve(J.T @ J + lam * np.eye(m), -J.T @ F)
-            except np.linalg.LinAlgError:
-                break
-            an = _unit(a + step)
-            if np.linalg.norm(minors(an)) < np.linalg.norm(F):
-                a, lam = an, max(lam / 3, 1e-12)
-            else:
-                lam *= 10
-                if lam > 1e8:
-                    break
-        _, ratio = _sigma_ratio(contract_pencil(a, Y))
-        if ratio < tol:
-            out.append(a)
-    return out
+    seeds = [np.asarray(s, dtype=float) for s in seeds][:restarts]
+    a = np.vstack(seeds + [rng.standard_normal((restarts - len(seeds), m))])
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    b = np.linalg.svd(_pencils(a, Y))[2][:, n - 1]
+    J = np.zeros((len(a), u + 2, m + n))
+    for _ in range(30):  # nearly every start converges within 10 steps
+        M = _pencils(a, Y)
+        F = np.einsum("rij,rj->ri", M, b)
+        if np.all(np.linalg.norm(F, axis=1) < 1e-15):
+            break
+        J[:, :u, :m] = np.einsum("kij,rj->rik", Y.data, b)
+        J[:, :u, m:] = M
+        J[:, u, :m] = a
+        J[:, u + 1, m:] = b
+        step = np.einsum("rij,rj->ri", np.linalg.pinv(J)[:, :, :u], F)
+        a, b = a - step[:, :m], b - step[:, m:]
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        b /= np.linalg.norm(b, axis=1, keepdims=True)
+    return _rank_deficient(Y, a, tol)
 
 
-def _dedup_points(points, dedup_tol):
-    uniq = []
-    for a in points:
-        a = _canonical_sign(a)
-        if not any(np.linalg.norm(a - b) < dedup_tol for b in uniq):
-            uniq.append(a)
-    uniq.sort(key=lambda a: tuple(np.round(a, 9)))
-    return uniq
+def _structured_roots(Y: Tensor3, rng, lines: int, tol: float):
+    """Rank-drop candidates from the square-pencil or the two-parameter
+    solver, or None when neither applies to the shape of Y."""
+    u, n, m = Y.d1, Y.d2, Y.d3
+    if u == n:
+        return _square_line_roots(Y, rng, lines, tol)
+    if m == 3 and u <= 2 * n:
+        return _two_param_roots(Y, rng, tol)
+    return None
+
+
+def _dedup_points(points: np.ndarray, dedup_tol: float) -> list:
+    """Canonically signed rows of ``points`` without those closer than
+    ``dedup_tol`` to an earlier kept one, sorted by their coordinates
+    rounded to 9 digits.  One row of the distance array is computed per kept
+    point, which keeps memory linear in the number of points."""
+    P = _canonical_sign(points)
+    keep = np.ones(len(P), dtype=bool)
+    for i in range(len(P)):
+        if keep[i]:
+            keep[i + 1:] &= ~(np.linalg.norm(P[i + 1:] - P[i], axis=1)
+                              < dedup_tol)
+    uniq = P[keep]
+    return list(uniq[np.lexsort(np.round(uniq, 9).T[::-1])])
 
 
 def rank_drop_search(Y: Tensor3, dims: ProblemDims | None = None,
@@ -525,24 +521,20 @@ def rank_drop_search(Y: Tensor3, dims: ProblemDims | None = None,
 
     Square pencils (u == n) are handled by real generalized eigenvalues on
     random lines; 3-slice rectangular pencils by the complete two-parameter
-    eigenvalue reduction; anything else by budgeted multistart minimization
-    (seeded from ``start_points``, e.g. margin minimizers).  One point is
-    returned per kernel basis vector.  An empty result means the search
-    failed, not that no points exist.
+    eigenvalue reduction; anything else by batched Gauss-Newton on
+    M(a, Y) b = 0 from ``start_points`` (e.g. margin minimizers) and random
+    starts.  One point is returned per kernel basis vector.  An empty result
+    means the search failed, not that no points exist.
     """
     budget = budget or SearchBudget()
-    rng = np.random.default_rng(seed) if not isinstance(
-        seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     u, n, m = Y.d1, Y.d2, Y.d3
     if u < n:
         raise ValueError(f"pencil must be tall: u={u} < n={n}")
     if dims is not None and (dims.u, dims.n, dims.m) != (u, n, m):
         raise ValueError(f"dims {dims} do not match tensor of size {u}x{n}x{m}")
-    if u == n:
-        raw = _square_line_roots(Y, rng, budget.lines, budget.tol)
-    elif m == 3 and u <= 2 * n:
-        raw = _two_param_roots(Y, rng, budget.tol)
-    else:
+    raw = _structured_roots(Y, rng, budget.lines, budget.tol)
+    if raw is None:
         raw = _multistart_roots(Y, rng, budget.restarts, budget.tol,
                                 seeds=start_points)
     points = []
@@ -570,8 +562,7 @@ def afcr_margin_info(Y: Tensor3, budget: MarginBudget | None = None,
     of full column rank everywhere, not proof.
     """
     budget = budget or MarginBudget()
-    rng = np.random.default_rng(seed) if not isinstance(
-        seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     u, n, m = Y.d1, Y.d2, Y.d3
     if u < n:
         raise ValueError(f"pencil must be tall: u={u} < n={n}")
@@ -579,21 +570,15 @@ def afcr_margin_info(Y: Tensor3, budget: MarginBudget | None = None,
     def value(a):
         return np.linalg.svd(contract_pencil(a, Y), compute_uv=False)[n - 1]
 
-    best_val, best_a = np.inf, None
-    candidates = [np.eye(m)[k] for k in range(m)]
-    if u == n:
-        candidates += _square_line_roots(Y, rng, budget.probe_lines, tol=np.inf)
-    elif m == 3 and u <= 2 * n:
-        candidates += _two_param_roots(Y, rng, tol=np.inf)
-    for a in candidates:
-        v = value(a)
-        if v < best_val:
-            best_val, best_a = v, a
+    roots = _structured_roots(Y, rng, budget.probe_lines, np.inf)
+    candidates = np.vstack([np.eye(m)] + ([] if roots is None else [roots]))
+    values = np.linalg.svd(_pencils(candidates, Y), compute_uv=False)[:, n - 1]
+    best_val, best_a = values.min(), candidates[values.argmin()]
     restarts = 0
     for r in range(budget.restarts):
         restarts += 1
         a = _unit(rng.standard_normal(m))
-        if r == 0 and best_a is not None:
+        if r == 0:
             a = best_a
         f = value(a)
         for _ in range(budget.iters):

@@ -263,6 +263,21 @@ class TestDecompose:
         assert factors.residual == pytest.approx(verdict.certificate.residual,
                                                  abs=1e-9)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_scale(self, scale):
+        # residuals are taken on T scaled by a power of two, so they stay
+        # finite where the Frobenius norm of T itself overflows or underflows
+        rng = np.random.default_rng(19)
+        T = rank_terms_tensor(rng, 3, 6, 3, 6)
+        verdict = certify(T.scaled(scale), seed=0)
+        assert isinstance(verdict, RankP)
+        assert verdict.certificate.residual <= 1e-6
+        factors = decompose(T.scaled(scale), verdict.certificate)
+        assert factors.residual <= 1e-6
+        That = np.einsum("ij,aj,kj->kia", factors.A, factors.B / scale,
+                         factors.C)
+        assert np.linalg.norm(That - T.data) <= 1e-6 * T.norm()
+
     def test_mismatched_certificate(self):
         rng = np.random.default_rng(17)
         T = Tensor3(rng.standard_normal((3, 3, 6)))

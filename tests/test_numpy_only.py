@@ -1,0 +1,38 @@
+"""rankatlas imports and certifies on numpy alone; SciPy is a test
+dependency only."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# One planted tensor per solver path of the rank-drop search: 3x6x3 takes
+# the square-pencil path, 3x5x3 the two-parameter path and 4x11x4 the
+# Gauss-Newton multistart path.
+SCRIPT = """
+import sys
+import numpy as np
+import rankatlas
+import rankatlas.cli
+from rankatlas.certify import certify
+from rankatlas.pencil import Tensor3
+
+rng = np.random.default_rng(0)
+for n, p, m in ((3, 6, 3), (3, 5, 3), (4, 11, 4)):
+    A, B, C = (rng.standard_normal(s) for s in ((n, p), (p, p), (m, p)))
+    T = Tensor3(np.einsum("ij,aj,kj->kia", A, B, C))
+    print(certify(T, seed=0).kind)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_certify_paths_never_import_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["RankP", "RankP", "RankP", "[]"]

@@ -54,6 +54,20 @@ class TestTensor3:
         with pytest.raises(ValueError):
             T.data[0, 0, 0] = 1.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        data = np.ones((2, 3, 3))
+        data[1, 0, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Tensor3(data)
+
+    @pytest.mark.parametrize("header", ["0 3 3", "3 0 3", "3 3 0", "-1 3 3"])
+    def test_non_positive_dims_rejected(self, header):
+        with pytest.raises(ValueError, match="positive"):
+            Tensor3.from_text(header)
+        with pytest.raises(ValueError, match="positive"):
+            Tensor3(np.zeros([max(int(d), 0) for d in header.split()]))
+
 
 class TestProblemDims:
     def test_derived(self):
