@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pencil import Tensor3
+from .pencil import MarginBudget, Tensor3, afcr_margin_info
 
 __all__ = [
     "BilinearMap",
@@ -154,63 +154,20 @@ def from_tensor(T: Tensor3) -> BilinearMap:
     return BilinearMap(np.stack(T.slices, axis=2))
 
 
-@dataclass(frozen=True)
-class OptBudget:
-    restarts: int = 200
-    iters: int = 500
-
-    def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("optimizer budget needs at least one restart")
+OptBudget = MarginBudget  # the margin of a map is a pencil margin
 
 
-def nonsingularity_margin(f: BilinearMap, budget: OptBudget | None = None,
+def nonsingularity_margin(f: BilinearMap, budget: MarginBudget | None = None,
                           seed: int | np.random.Generator = 0) -> float:
     """Best-found minimum of |f(x, y)| over the product of unit spheres.
 
-    Multistart projected gradient with step halving.  A clearly positive
-    value is strong evidence of nonsingularity; a tiny one is evidence of a
-    zero (neither is a proof).
+    For unit y, min over unit x of |f(x, y)| is sigma_a of the pencil of
+    ``as_tensor(f)`` at y, so this is the pencil margin of that tensor
+    (:func:`afcr_margin_info`); it is 0 when c < a, where every pencil has
+    a kernel.  A clearly positive value is strong evidence of
+    nonsingularity; a tiny one is evidence of a zero (neither is a proof).
     """
-    budget = budget or OptBudget()
-    rng = np.random.default_rng(seed)
-    C = f.coeffs
-
-    def val_and_grads(x, y):
-        fx = np.einsum("kij,i,j->k", C, x, y)
-        v = np.linalg.norm(fx)
-        gx = np.einsum("kij,k,j->i", C, fx, y)
-        gy = np.einsum("kij,k,i->j", C, fx, x)
-        return v, gx, gy  # gradients of |f|^2 / 2
-
-    best = np.inf
-    for _ in range(budget.restarts):
-        x = rng.standard_normal(f.a)
-        x /= np.linalg.norm(x)
-        y = rng.standard_normal(f.b)
-        y /= np.linalg.norm(y)
-        v, gx, gy = val_and_grads(x, y)
-        for _ in range(budget.iters):
-            gx = gx - (gx @ x) * x
-            gy = gy - (gy @ y) * y
-            gnorm = np.hypot(np.linalg.norm(gx), np.linalg.norm(gy))
-            if gnorm < 1e-15 or v < 1e-15:
-                break
-            step, moved = 0.5, False
-            while step > 1e-12:
-                xn = x - step * gx / gnorm
-                xn /= np.linalg.norm(xn)
-                yn = y - step * gy / gnorm
-                yn /= np.linalg.norm(yn)
-                vn, gxn, gyn = val_and_grads(xn, yn)
-                if vn < v:
-                    x, y, v, gx, gy = xn, yn, vn, gxn, gyn
-                    moved = True
-                    break
-                step /= 2
-            if not moved:
-                break
-        best = min(best, v)
-        if best < 1e-15:
-            break
-    return float(best)
+    if f.c < f.a:
+        return 0.0
+    budget = budget or MarginBudget(restarts=200, iters=500)
+    return afcr_margin_info(as_tensor(f), budget, seed).value

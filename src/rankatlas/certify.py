@@ -243,17 +243,42 @@ def _assemble(T, W, dims, budget, chosen, diagnostics):
         residual=residual, pencil_residual=pencil_res)
 
 
+def _new_points(points, seen: np.ndarray, tol: float):
+    """The (d, b) pairs of ``points`` at distance ``tol`` or more from every
+    row of ``seen``, and the same pairs as rows laid out like ``seen``."""
+    pairs, rows = [], []
+    for pt in points:
+        row = np.concatenate([pt.a, pt.b])
+        if len(seen) and np.min(np.linalg.norm(seen - row, axis=1)) < tol:
+            continue
+        pairs.append((pt.a, pt.b))
+        rows.append(row)
+    return pairs, np.reshape(rows, (-1, seen.shape[1]))
+
+
 def _collect_certificate(T, W, dims, budget, rng, diagnostics, seeds=()):
+    """Search rounds, each with twice the lines of the last, until the
+    distinct points span R^p and assemble a certificate.  A round that finds
+    points but none new ends the search early, since a complete solve
+    repeats itself; a round that finds nothing does not."""
     p = dims.p
-    candidates: list = []  # (phi column, (d, b)) pairs
+    candidates: list = []  # (phi column, (d, b)) pairs, pairwise distinct
+    seen = np.empty((0, dims.m + dims.n))  # the (d, b) of each candidate
     best_span = 0
     search_budget = SearchBudget(
         restarts=budget.search_restarts, lines=budget.search_lines,
         tol=budget.tol_rankdrop)
     for _ in range(budget.search_rounds):
-        for pt in rank_drop_search(W, dims, search_budget, seed=rng,
-                                   start_points=seeds):
-            candidates.append((phi(pt.a, pt.b, dims), (pt.a, pt.b)))
+        found = rank_drop_search(W, dims, search_budget, seed=rng,
+                                 start_points=seeds)
+        # the points of one search are distinct; only earlier rounds' points
+        # can repeat one
+        pairs, rows = _new_points(found, seen, search_budget.dedup_tol)
+        if found and not pairs:
+            break
+        del found  # not held through the next, larger search
+        candidates += [(phi(d, b, dims), (d, b)) for d, b in pairs]
+        seen = np.vstack([seen, rows])
         diagnostics["points_found"] = len(candidates)
         if candidates:
             span, chosen = _select_independent(candidates, p)

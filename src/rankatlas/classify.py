@@ -59,13 +59,16 @@ class TrankResult:
 _TABLE_CACHE: dict[int, HashBoundsTable] = {}
 
 
-def _table_for(dim: int, bounds: HashBoundsTable | None) -> HashBoundsTable:
-    if bounds is not None and bounds.max_dim >= dim:
+def _table_for(n: int, p: int,
+               bounds: HashBoundsTable | None) -> HashBoundsTable:
+    """The caller's table when it covers n, else the cached default table
+    covering the largest dimension p.  Larger tables pin m#n tighter, so
+    the library and the ``trank`` command share this one default."""
+    if bounds is not None and bounds.max_dim >= n:
         return bounds
-    dim = max(dim, 2)
-    if dim not in _TABLE_CACHE:
-        _TABLE_CACHE[dim] = build_bounds_table(dim)
-    return _TABLE_CACHE[dim]
+    if p not in _TABLE_CACHE:
+        _TABLE_CACHE[p] = build_bounds_table(p)
+    return _TABLE_CACHE[p]
 
 
 def _window_result(m: int, n: int, p: int, table: HashBoundsTable,
@@ -95,7 +98,8 @@ def classify(m: int, n: int, p: int,
 
     Arguments are sorted internally (typical ranks are invariant under
     permuting the three dimensions).  ``bounds`` may supply a prebuilt
-    m#n table; one is built and cached otherwise.
+    m#n table, used when it covers the middle dimension; otherwise one
+    covering the largest dimension is built and cached.
     """
     if m < 1 or n < 1 or p < 1:
         raise ValueError("dimensions must be positive")
@@ -111,12 +115,11 @@ def classify(m: int, n: int, p: int,
         return TrankResult(kind="exact", ranks=(min(p, 2 * n),),
                            provenance="two-slice case min(p, 2n)")
 
-    table = _table_for(n, bounds)
-    corner = (m - 1) * (n - 1) + 1
-
     if p > (m - 1) * n:
         return TrankResult(kind="exact", ranks=(min(p, m * n),),
                            provenance="unbalanced regime min(p, mn)")
+    table = _table_for(n, p, bounds)
+    corner = (m - 1) * (n - 1) + 1
     if p == (m - 1) * n:
         return _window_result(m, n, p, table,
                               "boundary p = (m-1)n (plural iff m#n <= n)")

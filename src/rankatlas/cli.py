@@ -51,8 +51,7 @@ def _read_tensor(path: str) -> Tensor3:
 
 
 def _cmd_trank(args) -> int:
-    table = build_bounds_table(max(args.m, args.n, args.p, 2)) \
-        if args.max_dim is None else build_bounds_table(args.max_dim)
+    table = None if args.max_dim is None else build_bounds_table(args.max_dim)
     result = classify(args.m, args.n, args.p, table)
     m, n, _ = sorted((args.m, args.n, args.p))
     if args.json:
@@ -79,9 +78,6 @@ def _cmd_trank(args) -> int:
 
 def _cmd_bounds(args) -> int:
     table = build_bounds_table(args.max)
-    if args.cache:
-        with open(args.cache, "w") as fh:
-            fh.write(table.to_json())
     if args.json:
         print(table.to_json())
     else:
@@ -211,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="dump the m#n bound table")
     p_bounds.add_argument("--max", type=int, required=True)
-    p_bounds.add_argument("--cache", type=str, default=None,
-                          help="also write the table as JSON to this path")
     p_bounds.add_argument("--json", action="store_true")
     p_bounds.set_defaults(func=_cmd_bounds)
 

@@ -11,7 +11,7 @@ from rankatlas.bilinear import (
     nonsingularity_margin,
     restrict,
 )
-from rankatlas.pencil import Tensor3, contract_pencil
+from rankatlas.pencil import MarginBudget, afcr_margin, contract_pencil
 
 
 class TestHypercomplex:
@@ -159,6 +159,16 @@ class TestMargin:
         margin = nonsingularity_margin(f, OptBudget(restarts=40, iters=200),
                                        seed=0)
         assert margin < 1e-7
+
+    def test_convolution_is_pencil_margin(self):
+        # min over unit x of |f(x, y)| is sigma_a of the pencil at y
+        f = convolve(hypercomplex_mult(4), 2, 2)
+        margin = nonsingularity_margin(f)
+        assert margin == pytest.approx(1 / np.sqrt(2), abs=1e-8)
+        assert margin == pytest.approx(afcr_margin(as_tensor(f)), abs=1e-8)
+
+    def test_budget_is_margin_budget(self):
+        assert OptBudget is MarginBudget
 
     def test_zero_restarts_rejected(self):
         with pytest.raises(ValueError):

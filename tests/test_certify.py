@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,32 @@ class TestCertify:
                 assert verdict.diagnostics["span_dim"] < 5
                 seen = True
         assert seen
+
+    def test_search_stops_when_a_round_repeats(self, monkeypatch):
+        # the two-parameter solve at 3x5x3 is complete, so a second round
+        # finds the same points; the search ends there and counts them once
+        # the package's ``certify`` attribute is the function, not the module
+        certify_mod = importlib.import_module("rankatlas.certify")
+        search = certify_mod.rank_drop_search
+        calls = []
+
+        def counting_search(*args, **kwargs):
+            points = search(*args, **kwargs)
+            calls.append([np.concatenate([pt.a, pt.b]) for pt in points])
+            return points
+
+        monkeypatch.setattr(certify_mod, "rank_drop_search", counting_search)
+        rng = np.random.default_rng(14)
+        T = Tensor3(rng.standard_normal((3, 3, 5)))
+        verdict = certify(T, seed=0)
+        assert isinstance(verdict, Inconclusive)
+        assert len(calls) <= 2
+        distinct = []
+        for key in (key for keys in calls for key in keys):
+            if all(np.linalg.norm(key - k) >= 1e-6 for k in distinct):
+                distinct.append(key)
+        assert len(distinct) in (2, 4)
+        assert verdict.diagnostics["points_found"] == len(distinct)
 
 
 class TestDecompose:

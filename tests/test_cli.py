@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from rankatlas.classify import classify
 from rankatlas.cli import run
 from rankatlas.pencil import Tensor3
 from tests_helpers import quaternion_high_rank_tensor
@@ -32,6 +33,16 @@ class TestTrank:
         assert payload["ranks"] == [12, 13]
         assert payload["hash_bounds"] == [4, 4]
 
+    def test_agrees_with_library_default(self, capsys):
+        # both take the default m#n table, which covers the largest dimension
+        code, out, _ = invoke(capsys, "trank", "5", "7", "27", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        result = classify(5, 7, 27)
+        assert (result.kind, result.provenance) == (payload["kind"],
+                                                    payload["provenance"])
+        assert list(result.ranks) == payload["ranks"] == [27, 28]
+
 
 class TestBounds:
     def test_dump(self, capsys):
@@ -39,14 +50,11 @@ class TestBounds:
         assert code == 0
         assert "3 3 4 4" in out
 
-    def test_json_cache(self, capsys, tmp_path):
-        cache = tmp_path / "bounds.json"
-        code, out, _ = invoke(capsys, "bounds", "--max", "5", "--json",
-                              "--cache", str(cache))
+    def test_json_cache(self, capsys):
+        code, out, _ = invoke(capsys, "bounds", "--max", "5", "--json")
         assert code == 0
         payload = json.loads(out)
         assert payload["max_dim"] == 5
-        assert json.loads(cache.read_text()) == payload
 
 
 class TestAfcrCommand:

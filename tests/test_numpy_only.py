@@ -10,12 +10,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # One planted tensor per solver path of the rank-drop search: 3x6x3 takes
 # the square-pencil path, 3x5x3 the two-parameter path and 4x11x4 the
-# Gauss-Newton multistart path.
+# Gauss-Newton multistart path.  The bilinear-map margin is the pencil
+# margin, and runs on numpy alone too.
 SCRIPT = """
 import sys
 import numpy as np
 import rankatlas
 import rankatlas.cli
+from rankatlas.bilinear import hypercomplex_mult, nonsingularity_margin
 from rankatlas.certify import certify
 from rankatlas.pencil import Tensor3
 
@@ -24,6 +26,7 @@ for n, p, m in ((3, 6, 3), (3, 5, 3), (4, 11, 4)):
     A, B, C = (rng.standard_normal(s) for s in ((n, p), (p, p), (m, p)))
     T = Tensor3(np.einsum("ij,aj,kj->kia", A, B, C))
     print(certify(T, seed=0).kind)
+print(round(nonsingularity_margin(hypercomplex_mult(4)), 8))
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
@@ -35,4 +38,5 @@ def test_certify_paths_never_import_scipy():
     proc = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True,
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["RankP", "RankP", "RankP", "[]"]
+    assert proc.stdout.splitlines() == ["RankP", "RankP", "RankP", "1.0",
+                                       "[]"]
