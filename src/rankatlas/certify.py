@@ -2,10 +2,11 @@
 
 A tensor T with invertible leading p x p block of its mode-2 flattening is
 reduced to a u x p matrix (``sigma``), embedded as a pencil with trailing
--E_u block (``iota``), and interrogated through that pencil: a positive
-full-column-rank margin certifies rank > p, while enough real rank-drop
-points with independent ``phi`` images assemble an explicit p-term
-decomposition certifying rank == p.  Anything else is Inconclusive.
+-E_u block (``iota``), and interrogated through that pencil, search first:
+real rank-drop points with independent ``phi`` images assemble an explicit
+p-term decomposition certifying rank == p, and only a search that finds no
+point runs the full-column-rank margin, whose positive value gives rank > p.
+Anything else is Inconclusive.
 """
 
 from __future__ import annotations
@@ -256,11 +257,11 @@ def _new_points(points, seen: np.ndarray, tol: float):
     return pairs, np.reshape(rows, (-1, seen.shape[1]))
 
 
-def _collect_certificate(T, W, dims, budget, rng, diagnostics, seeds=()):
+def _collect_certificate(T, W, dims, budget, rng, diagnostics):
     """Search rounds, each with twice the lines of the last, until the
-    distinct points span R^p and assemble a certificate.  A round that finds
-    points but none new ends the search early, since a complete solve
-    repeats itself; a round that finds nothing does not."""
+    distinct points span R^p and assemble a certificate.  A round that adds
+    no new distinct point ends the search, since a complete solve repeats
+    itself."""
     p = dims.p
     candidates: list = []  # (phi column, (d, b)) pairs, pairwise distinct
     seen = np.empty((0, dims.m + dims.n))  # the (d, b) of each candidate
@@ -269,25 +270,23 @@ def _collect_certificate(T, W, dims, budget, rng, diagnostics, seeds=()):
         restarts=budget.search_restarts, lines=budget.search_lines,
         tol=budget.tol_rankdrop)
     for _ in range(budget.search_rounds):
-        found = rank_drop_search(W, dims, search_budget, seed=rng,
-                                 start_points=seeds)
+        found = rank_drop_search(W, dims, search_budget, seed=rng)
         # the points of one search are distinct; only earlier rounds' points
         # can repeat one
         pairs, rows = _new_points(found, seen, search_budget.dedup_tol)
-        if found and not pairs:
+        if not pairs:
             break
         del found  # not held through the next, larger search
         candidates += [(phi(d, b, dims), (d, b)) for d, b in pairs]
         seen = np.vstack([seen, rows])
         diagnostics["points_found"] = len(candidates)
-        if candidates:
-            span, chosen = _select_independent(candidates, p)
-            best_span = max(best_span, span)
-            diagnostics["span_dim"] = best_span
-            if span >= p:
-                cert = _assemble(T, W, dims, budget, chosen, diagnostics)
-                if cert is not None:
-                    return cert
+        span, chosen = _select_independent(candidates, p)
+        best_span = max(best_span, span)
+        diagnostics["span_dim"] = best_span
+        if span >= p:
+            cert = _assemble(T, W, dims, budget, chosen, diagnostics)
+            if cert is not None:
+                return cert
         # widen the search before the next round
         search_budget = SearchBudget(
             restarts=search_budget.restarts,
@@ -301,13 +300,15 @@ def certify(T: Tensor3, budget: CertifyBudget | None = None,
             seed: int | np.random.Generator = 0) -> Verdict:
     """Decide whether rank T == p or rank T > p, with explicit witnesses.
 
-    Procedure: form W = iota(sigma(T)); a full-column-rank margin above
-    tolerance settles rank > p; otherwise real rank-drop points of the
-    pencil are collected until their phi images span R^p and the resulting
-    p-term reconstruction is verified.  The search is not complete, so a
-    failed hunt yields Inconclusive, never a rank claim.  T is first divided
-    by the power of two nearest max |T|, so that residuals stay finite at
-    any scale.
+    Procedure: form W = iota(sigma(T)) and collect real rank-drop points of
+    the pencil until their phi images span R^p and the resulting p-term
+    reconstruction is verified.  Rank > p means full column rank of W on the
+    whole sphere, so a found point (sigma_n / sigma_1 below
+    ``tol_rankdrop``) rules it out, and without a certificate the verdict is
+    Inconclusive.  Only a search that finds no point runs the margin
+    descent, whose best-found value above ``tol_margin`` gives rank > p.
+    T is first divided by the power of two nearest max |T|, so that
+    residuals stay finite at any scale.
     """
     budget = budget or CertifyBudget()
     rng = np.random.default_rng(seed)
@@ -316,19 +317,20 @@ def certify(T: Tensor3, budget: CertifyBudget | None = None,
     W = iota_tensor(sigma(T), dims.n, dims.m)
 
     diagnostics: dict = {}
-    wn = W.norm()
+    cert = _collect_certificate(T, W, dims, budget, rng, diagnostics)
+    if cert is not None:
+        return RankP(certificate=cert, diagnostics=diagnostics)
+    if "points_found" in diagnostics:  # a found point rules out rank > p
+        return Inconclusive(diagnostics=diagnostics)
+
     margin_budget = MarginBudget(
         restarts=budget.margin_restarts, iters=budget.margin_iters,
         probe_lines=budget.probe_lines)
-    info = afcr_margin_info(W.scaled(1.0 / wn), margin_budget, seed=rng)
-    diagnostics["margin"] = info.value
-    if info.value > budget.tol_margin:
-        return RankExceedsP(margin=info.value)
-
-    cert = _collect_certificate(T, W, dims, budget, rng, diagnostics,
-                                seeds=(info.minimizer,))
-    if cert is not None:
-        return RankP(certificate=cert, diagnostics=diagnostics)
+    margin = afcr_margin_info(W.scaled(1.0 / W.norm()), margin_budget,
+                              seed=rng).value
+    diagnostics["margin"] = margin
+    if margin > budget.tol_margin:
+        return RankExceedsP(margin=margin)
     return Inconclusive(diagnostics=diagnostics)
 
 

@@ -244,10 +244,11 @@ def build_bounds_table(max_dim: int) -> HashBoundsTable:
     Seeds: the Stiefel-Hopf lower bound circ(m, n), the trivial upper bound
     m+n-1, Hurwitz-Radon upper bounds m # rho(m) <= m, the Adams lower bound
     m # (rho(m)+1) > m, bit-disjointness (equality and its converse defect),
-    and the classical diagonal bounds.  The closure then iterates the
-    scaled-hypercomplex rule, the convolution composite rule, the odd-argument
-    construction with residue corrections, the tau-corrected construction
-    family, monotone restriction and symmetry until no interval changes.
+    and the classical diagonal bounds.  The rules with constant values (the
+    scaled-hypercomplex rule, Cohen, Milgram and the tau-corrected
+    construction family) are applied once; the closure then iterates the
+    convolution composite rule, monotone restriction and symmetry until no
+    interval changes.
     Survey-sourced diagonal lower bounds are applied last under a
     contradiction guard.
     """
@@ -283,38 +284,36 @@ def build_bounds_table(max_dim: int) -> HashBoundsTable:
         table._improve_lower(n, n, 2 * n - 2, "levine")
         a += 1
 
-    def run_static_round() -> bool:
-        changed = False
-        # Cohen: (n+1)#(n+1) <= 2n - alpha(n) + 1
-        for n in range(1, D):
-            changed |= table._improve_upper(
-                n + 1, n + 1, 2 * n - alpha(n) + 1, "cohen")
-        # Milgram: odd m <= n, both odd
-        for mm in range(1, D, 2):
-            for nn in range(mm, D, 2):
-                kmin = min(_MILGRAM_K[mm % 8], _MILGRAM_K[nn % 8])
-                bound = nn + mm + 1 - (alpha(nn) + _popcount(nn - mm) + kmin)
-                changed |= table._improve_upper(nn + 1, mm + 1, bound, "milgram")
-        # scaled hypercomplex: km # kn <= k(m+n-1), k in {1,2,4,8}
-        for k in (1, 2, 4, 8):
-            for mm in range(1, D // k + 1):
-                for nn in range(mm, D // k + 1):
-                    changed |= table._improve_upper(
-                        k * mm, k * nn, k * (mm + nn - 1), "hopf-mult")
-        # tau-corrected family: d(h+1) # (d(k-h) + tau(k,h)) <= dk
-        for d in (1, 2, 4, 8):
-            for h in range(0, D // d):
-                for k in range(h + 1, (2 * D) // d + 1):
-                    first = d * (h + 1)
-                    second = d * (k - h) + tau(k, h)
-                    if first <= D and second <= D:
-                        changed |= table._improve_upper(first, second, d * k, "lam")
-        # (n+1) # (n + tau(2n, n)) <= 2n
-        for n in range(1, D):
-            second = n + tau(2 * n, n)
-            if n + 1 <= D and second <= D:
-                changed |= table._improve_upper(n + 1, second, 2 * n, "lam-tau2n")
-        return changed
+    # constant rules, applied once: bounds only tighten, so applying one
+    # again could only repeat a rejection
+    # Cohen: (n+1)#(n+1) <= 2n - alpha(n) + 1
+    for n in range(1, D):
+        table._improve_upper(n + 1, n + 1, 2 * n - alpha(n) + 1, "cohen")
+    # Milgram: odd m <= n, both odd
+    for mm in range(1, D, 2):
+        for nn in range(mm, D, 2):
+            kmin = min(_MILGRAM_K[mm % 8], _MILGRAM_K[nn % 8])
+            bound = nn + mm + 1 - (alpha(nn) + _popcount(nn - mm) + kmin)
+            table._improve_upper(nn + 1, mm + 1, bound, "milgram")
+    # scaled hypercomplex: km # kn <= k(m+n-1), k in {1,2,4,8}
+    for k in (1, 2, 4, 8):
+        for mm in range(1, D // k + 1):
+            for nn in range(mm, D // k + 1):
+                table._improve_upper(
+                    k * mm, k * nn, k * (mm + nn - 1), "hopf-mult")
+    # tau-corrected family: d(h+1) # (d(k-h) + tau(k,h)) <= dk
+    for d in (1, 2, 4, 8):
+        for h in range(0, D // d):
+            for k in range(h + 1, (2 * D) // d + 1):
+                first = d * (h + 1)
+                second = d * (k - h) + tau(k, h)
+                if first <= D and second <= D:
+                    table._improve_upper(first, second, d * k, "lam")
+    # (n+1) # (n + tau(2n, n)) <= 2n
+    for n in range(1, D):
+        second = n + tau(2 * n, n)
+        if n + 1 <= D and second <= D:
+            table._improve_upper(n + 1, second, 2 * n, "lam-tau2n")
 
     def run_dynamic_round() -> bool:
         changed = False
@@ -345,7 +344,7 @@ def build_bounds_table(max_dim: int) -> HashBoundsTable:
                         m2, n2, table.lower(m, n), "restriction")
         return changed
 
-    while run_static_round() | run_dynamic_round():
+    while run_dynamic_round():
         pass
 
     # survey diagonal lower bounds, guarded against settled uppers

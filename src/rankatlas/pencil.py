@@ -341,7 +341,6 @@ class RankDropPoint:
 @dataclass(frozen=True)
 class MarginInfo:
     value: float
-    minimizer: np.ndarray
     restarts: int
 
 
@@ -454,20 +453,17 @@ def _two_param_roots(Y: Tensor3, rng, tol: float):
     return _rank_deficient(Y, a / np.linalg.norm(a, axis=1, keepdims=True), tol)
 
 
-def _multistart_roots(Y: Tensor3, rng, restarts: int, tol: float,
-                      seeds=()):
+def _multistart_roots(Y: Tensor3, rng, restarts: int, tol: float):
     """Batched Gauss-Newton on the kernel equation M(a, Y) b = 0 with
     |a| = |b| = 1; heuristic, used when no structured solver applies.
 
-    ``seeds`` (e.g. margin minimizers) are the first start points, random
-    ones fill up to ``restarts``; b starts as the last right singular
-    vector of M(a).  Each step is the minimum-norm solution of the
+    It starts from ``restarts`` random unit a, with b the last right
+    singular vector of M(a).  Each step is the minimum-norm solution of the
     linearization [sum_k Y_k b e_k^T | M(a)] (da, db) = -M(a) b with
     da . a = db . b = 0, followed by renormalisation of a and b.
     """
     m, u, n = Y.d3, Y.d1, Y.d2
-    seeds = [np.asarray(s, dtype=float) for s in seeds][:restarts]
-    a = np.vstack(seeds + [rng.standard_normal((restarts - len(seeds), m))])
+    a = rng.standard_normal((restarts, m))
     a /= np.linalg.norm(a, axis=1, keepdims=True)
     b = np.linalg.svd(_pencils(a, Y))[2][:, n - 1]
     J = np.zeros((len(a), u + 2, m + n))
@@ -515,16 +511,16 @@ def _dedup_points(points: np.ndarray, dedup_tol: float) -> list:
 
 def rank_drop_search(Y: Tensor3, dims: ProblemDims | None = None,
                      budget: SearchBudget | None = None,
-                     seed: int | np.random.Generator = 0,
-                     start_points=()) -> list[RankDropPoint]:
+                     seed: int | np.random.Generator = 0
+                     ) -> list[RankDropPoint]:
     """Hunt for unit vectors a with sigma_n(M(a, Y)) below tolerance.
 
     Square pencils (u == n) are handled by real generalized eigenvalues on
     random lines; 3-slice rectangular pencils by the complete two-parameter
     eigenvalue reduction; anything else by batched Gauss-Newton on
-    M(a, Y) b = 0 from ``start_points`` (e.g. margin minimizers) and random
-    starts.  One point is returned per kernel basis vector.  An empty result
-    means the search failed, not that no points exist.
+    M(a, Y) b = 0 from random starts.  One point is returned per kernel
+    basis vector.  An empty result means the search failed, not that no
+    points exist.
     """
     budget = budget or SearchBudget()
     rng = np.random.default_rng(seed)
@@ -535,8 +531,7 @@ def rank_drop_search(Y: Tensor3, dims: ProblemDims | None = None,
         raise ValueError(f"dims {dims} do not match tensor of size {u}x{n}x{m}")
     raw = _structured_roots(Y, rng, budget.lines, budget.tol)
     if raw is None:
-        raw = _multistart_roots(Y, rng, budget.restarts, budget.tol,
-                                seeds=start_points)
+        raw = _multistart_roots(Y, rng, budget.restarts, budget.tol)
     points = []
     for a in _dedup_points(raw, budget.dedup_tol):
         M = contract_pencil(a, Y)
@@ -603,8 +598,7 @@ def afcr_margin_info(Y: Tensor3, budget: MarginBudget | None = None,
             best_val, best_a = f, a
         if best_val < 1e-15:
             break
-    return MarginInfo(value=float(best_val), minimizer=_canonical_sign(best_a),
-                      restarts=restarts)
+    return MarginInfo(value=float(best_val), restarts=restarts)
 
 
 def afcr_margin(Y: Tensor3, budget: MarginBudget | None = None,

@@ -268,6 +268,42 @@ class TestCertify:
         assert len(distinct) in (2, 4)
         assert verdict.diagnostics["points_found"] == len(distinct)
 
+    def test_margin_runs_only_when_the_search_finds_nothing(self,
+                                                            monkeypatch):
+        certify_mod = importlib.import_module("rankatlas.certify")
+        margin = certify_mod.afcr_margin_info
+        calls = []
+
+        def counting_margin(*args, **kwargs):
+            calls.append(1)
+            return margin(*args, **kwargs)
+
+        monkeypatch.setattr(certify_mod, "afcr_margin_info", counting_margin)
+        square = Tensor3(np.random.default_rng(11).standard_normal((3, 3, 6)))
+        rect = Tensor3(np.random.default_rng(14).standard_normal((3, 3, 5)))
+        cases = [(square, "RankP", 0), (rect, "Inconclusive", 0),
+                 (quaternion_high_rank_tensor(), "RankExceedsP", 1)]
+        verdicts = []
+        for T, kind, margin_calls in cases:
+            calls.clear()
+            verdicts.append(certify(T, seed=0))
+            assert verdicts[-1].kind == kind
+            assert len(calls) == margin_calls
+        # a found point, not a margin, makes the 3x5x3 sample Inconclusive
+        assert verdicts[1].diagnostics["points_found"] == 2
+        assert verdicts[2].margin > 1e-6
+
+    def test_weak_margin_budget_does_not_overrule_a_witness(self):
+        # 4x11x4: the margin from starting points alone is far above
+        # tolerance, yet the multistart search finds a rank-11 witness
+        T = Tensor3(np.random.default_rng(0).standard_normal((4, 4, 11)))
+        verdict = certify(T, CertifyBudget(margin_iters=0), seed=0)
+        assert isinstance(verdict, RankP)
+        assert verdict.certificate.residual <= 1e-6
+        tiny = CertifyBudget(margin_restarts=1, margin_iters=1,
+                             search_restarts=1, search_rounds=1)
+        assert not isinstance(certify(T, tiny, seed=0), RankExceedsP)
+
 
 class TestDecompose:
     def test_reconstructs_explicit_tensor(self):

@@ -226,6 +226,12 @@ class TestBoundsTable:
         assert any("davis" in s and "(8,8)" in s for s in t.skipped)
 
 
+def test_skipped_rejections_are_distinct(table16):
+    # each constant rule is applied once, so no rejection is recorded twice
+    assert table16.skipped
+    assert len(set(table16.skipped)) == len(table16.skipped)
+
+
 def test_exact_helper(table16):
     assert table16.exact(4, 4) == 4
     # somewhere in a 16-table an interval should remain open; exact() -> None

@@ -332,13 +332,11 @@ class TestRankDropSearch:
         b = [tuple(p.a) for p in rank_drop_search(Y, seed=5)]
         assert a == b
 
-    def test_multistart_path_with_seeding(self):
+    def test_multistart_path(self):
         # four slices, u > n: only the budgeted multistart applies
         rng = np.random.default_rng(20)
         Y = Tensor3(rng.standard_normal((4, 5, 4)))
-        info = afcr_margin_info(Y, MarginBudget(restarts=15), seed=1)
-        pts = rank_drop_search(Y, budget=SearchBudget(restarts=25), seed=1,
-                               start_points=(info.minimizer,))
+        pts = rank_drop_search(Y, budget=SearchBudget(restarts=25), seed=1)
         assert pts
         for p in pts:
             assert p.quality < 1e-8
@@ -389,11 +387,10 @@ class TestPointRegularity:
                 assert np.max(np.abs(J[:, si] - fd)) < 1e-5
 
 
-def test_margin_info_exposes_minimizer():
+def test_margin_info_value():
     Y = as_tensor(hypercomplex_mult(2))
     info = afcr_margin_info(Y, MarginBudget(restarts=4), seed=0)
     assert info.value == pytest.approx(1.0, abs=1e-10)
-    assert abs(np.linalg.norm(info.minimizer) - 1) < 1e-12
 
 
 def test_search_budget_defaults():
