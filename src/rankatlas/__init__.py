@@ -15,10 +15,12 @@ from .pencil import (
     MarginBudget,
     ProblemDims,
     RankDropPoint,
+    RootCount,
     SearchBudget,
     Tensor3,
     afcr_margin,
     contract_pencil,
+    corner_root_count,
     flatten,
     is_afcr,
     kernel_vector_psi,
@@ -42,6 +44,7 @@ from .certify import (
     RankCertificate,
     RankExceedsP,
     RankP,
+    RootCountCertificate,
     certify,
     decompose,
     iota,

@@ -4,13 +4,16 @@ A tensor T with invertible leading p x p block of its mode-2 flattening is
 reduced to a u x p matrix (``sigma``), embedded as a pencil with trailing
 -E_u block (``iota``), and interrogated through that pencil, search first:
 real rank-drop points with independent ``phi`` images assemble an explicit
-p-term decomposition certifying rank == p, and only a search that finds no
-point runs the full-column-rank margin, whose positive value gives rank > p.
-Anything else is Inconclusive.
+p-term decomposition certifying rank == p.  At the corner p = 2n - 1 of
+m = 3 a certified count of the complex rank-drop points with fewer than p
+real ones gives rank > p; elsewhere only a search that finds no point runs
+the full-column-rank margin, whose positive value gives rank > p.  Anything
+else is Inconclusive.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -19,10 +22,12 @@ import numpy as np
 from .pencil import (
     MarginBudget,
     ProblemDims,
+    RootCount,
     SearchBudget,
     Tensor3,
     afcr_margin_info,
     contract_pencil,
+    corner_root_count,
     flatten,
     rank_drop_search,
 )
@@ -31,6 +36,7 @@ __all__ = [
     "NotInVError",
     "CertifyBudget",
     "RankCertificate",
+    "RootCountCertificate",
     "RankP",
     "RankExceedsP",
     "Inconclusive",
@@ -161,9 +167,44 @@ class RankP:
 
 
 @dataclass(frozen=True)
+class RootCountCertificate:
+    """Witness that rank T > p at the corner p = 2n - 1 of m = 3: all
+    ``degree`` complex rank-drop points of W certified, fewer than p of
+    them real."""
+
+    p: int
+    count: RootCount
+
+    @property
+    def degree(self) -> int:
+        return self.count.degree
+
+    @property
+    def roots_found(self) -> int:
+        return len(self.count.roots)
+
+    @property
+    def roots_real(self) -> int:
+        return int(self.count.real.sum())
+
+    @property
+    def max_radius(self) -> float:
+        return float(self.count.radii.max())
+
+
+@dataclass(frozen=True)
 class RankExceedsP:
-    margin: float
+    """rank T > p, witnessed by exactly one of a best-found pencil margin
+    and a certified root count."""
+
+    margin: float | None = None
+    roots: RootCountCertificate | None = None
     kind: str = field(default="RankExceedsP", init=False)
+
+    def __post_init__(self):
+        if (self.margin is None) == (self.roots is None):
+            raise ValueError("RankExceedsP needs exactly one of margin and "
+                             "roots")
 
 
 @dataclass(frozen=True)
@@ -261,7 +302,8 @@ def _collect_certificate(T, W, dims, budget, rng, diagnostics):
     """Search rounds, each with twice the lines of the last, until the
     distinct points span R^p and assemble a certificate.  A round that adds
     no new distinct point ends the search, since a complete solve repeats
-    itself."""
+    itself.  Returns the certificate or None, and the distinct (d, b) found
+    as rows."""
     p = dims.p
     candidates: list = []  # (phi column, (d, b)) pairs, pairwise distinct
     seen = np.empty((0, dims.m + dims.n))  # the (d, b) of each candidate
@@ -286,13 +328,35 @@ def _collect_certificate(T, W, dims, budget, rng, diagnostics):
         if span >= p:
             cert = _assemble(T, W, dims, budget, chosen, diagnostics)
             if cert is not None:
-                return cert
+                return cert, seen
         # widen the search before the next round
         search_budget = SearchBudget(
             restarts=search_budget.restarts,
             lines=search_budget.lines * 2,
             tol=search_budget.tol)
     diagnostics.setdefault("span_dim", best_span)
+    return None, seen
+
+
+def _root_count_certificate(W, dims, found, rng, diagnostics):
+    """The root-count witness of rank > p at the corner, or None.  The
+    count must certify, find fewer than p real roots, and match every
+    distinct search point ``found`` (rows d) to a real root; the degree and
+    the roots found and real go into ``diagnostics``."""
+    count = corner_root_count(W, seed=rng)
+    diagnostics["degree"] = math.comb(dims.u, dims.n - 1)
+    if count is None:
+        diagnostics["roots_found"] = diagnostics["roots_real"] = None
+        return None
+    cert = RootCountCertificate(p=dims.p, count=count)
+    diagnostics["roots_found"] = cert.roots_found
+    diagnostics["roots_real"] = cert.roots_real
+    real = count.roots[count.real].real
+    gap = np.linalg.norm(found[:, None] - real[None], axis=2)
+    gap = np.minimum(gap, np.linalg.norm(found[:, None] + real[None], axis=2))
+    matched = gap.min(axis=1, initial=np.inf) < SearchBudget.dedup_tol
+    if cert.roots_real < dims.p and matched.all():
+        return cert
     return None
 
 
@@ -302,13 +366,36 @@ def certify(T: Tensor3, budget: CertifyBudget | None = None,
 
     Procedure: form W = iota(sigma(T)) and collect real rank-drop points of
     the pencil until their phi images span R^p and the resulting p-term
-    reconstruction is verified.  Rank > p means full column rank of W on the
-    whole sphere, so a found point (sigma_n / sigma_1 below
-    ``tol_rankdrop``) rules it out, and without a certificate the verdict is
-    Inconclusive.  Only a search that finds no point runs the margin
+    reconstruction is verified.  T is first divided by the power of two
+    nearest max |T|, so that residuals stay finite at any scale.
+
+    Without a certificate, rank > p is decided in one of two ways.
+
+    At the corner p = (m-1)(n-1) + 1 with m = 3, where W is (n+1) x n, it
+    rests on the converse of that construction.  Lemma: if the complex
+    rank-drop locus of W in P^2 is finite and the kernel at each of its
+    points is one-dimensional, then rank T == p implies that at least p of
+    its points are real.  Proof: a p-term decomposition of T gives p real
+    rank-drop points (d_j, b_j) with independent phi images, so no two
+    pairs are proportional, and with one-dimensional kernels the d_j are p
+    distinct real points of the locus.  A finite locus has degree
+    C(u, n-1) counted with multiplicity.  ``corner_root_count`` checks that
+    the locus is finite (a nonsingular Delta0 in its two-parameter solve)
+    and certifies C(u, n-1) pairwise distinct simple roots, so it has found
+    every point, each with a one-dimensional kernel; fewer than p real
+    roots among them give rank > p.  The verdict also asks every distinct
+    point the search found to match a certified real root.  This is a
+    floating-point certificate, its Newton-Kantorovich balls computed in
+    floating point with slack for rounding, not interval arithmetic.  The
+    dichotomy of Sumi, Miyazaki and Sakata (the real locus is empty or
+    Zariski-dense) covers p >= (m-1)(n-1) + 2 only; at the corner the locus
+    is finite instead, which is what makes the count possible.
+
+    Elsewhere, and at the corner when the count does not certify, rank > p
+    means full column rank of W on the whole sphere, so a found point
+    (sigma_n / sigma_1 below ``tol_rankdrop``) rules it out and the verdict
+    is Inconclusive.  Only a search that finds no point runs the margin
     descent, whose best-found value above ``tol_margin`` gives rank > p.
-    T is first divided by the power of two nearest max |T|, so that
-    residuals stay finite at any scale.
     """
     budget = budget or CertifyBudget()
     rng = np.random.default_rng(seed)
@@ -317,10 +404,15 @@ def certify(T: Tensor3, budget: CertifyBudget | None = None,
     W = iota_tensor(sigma(T), dims.n, dims.m)
 
     diagnostics: dict = {}
-    cert = _collect_certificate(T, W, dims, budget, rng, diagnostics)
+    cert, found = _collect_certificate(T, W, dims, budget, rng, diagnostics)
     if cert is not None:
         return RankP(certificate=cert, diagnostics=diagnostics)
-    if "points_found" in diagnostics:  # a found point rules out rank > p
+    if (dims.m, dims.u) == (3, dims.n + 1):
+        roots = _root_count_certificate(W, dims, found[:, :dims.m], rng,
+                                        diagnostics)
+        if roots is not None:
+            return RankExceedsP(roots=roots)
+    if len(found):  # a found point rules out rank > p
         return Inconclusive(diagnostics=diagnostics)
 
     margin_budget = MarginBudget(

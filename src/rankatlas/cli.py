@@ -120,7 +120,11 @@ def _verdict_payload(verdict) -> dict:
             "search": verdict.diagnostics,
         }
     if isinstance(verdict, RankExceedsP):
-        return {"verdict": "RankExceedsP", "margin": verdict.margin}
+        roots = verdict.roots
+        return {"verdict": "RankExceedsP", "margin": verdict.margin,
+                "roots": None if roots is None else {
+                    "degree": roots.degree, "real": roots.roots_real,
+                    "max_radius": roots.max_radius}}
     return {"verdict": "Inconclusive", "diagnostics": verdict.diagnostics}
 
 
@@ -142,6 +146,10 @@ def _cmd_certify(args) -> int:
         if isinstance(verdict, RankP):
             print(f"RankP: rank = {verdict.certificate.dims.p}, "
                   f"residual {verdict.certificate.residual:.3e}")
+        elif isinstance(verdict, RankExceedsP) and verdict.roots is not None:
+            roots = verdict.roots
+            print(f"RankExceedsP: {roots.roots_real} of {roots.degree} "
+                  f"rank-drop roots real (p = {roots.p})")
         elif isinstance(verdict, RankExceedsP):
             print(f"RankExceedsP: margin {verdict.margin:.6f}")
         else:

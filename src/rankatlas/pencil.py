@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ __all__ = [
     "MarginBudget",
     "SearchBudget",
     "RankDropPoint",
+    "RootCount",
     "PointRegularity",
     "flatten",
     "contract_pencil",
@@ -32,6 +34,7 @@ __all__ = [
     "afcr_margin_info",
     "is_afcr",
     "rank_drop_search",
+    "corner_root_count",
     "point_regularity",
     "corner_minors",
     "corner_minor_jacobian",
@@ -345,6 +348,19 @@ class MarginInfo:
 
 
 @dataclass(frozen=True)
+class RootCount:
+    """The complex rank-drop points of a pencil, each certified in its own
+    ball: ``roots`` holds them as unit vectors a (the real ones real, with
+    canonical sign), ``real`` marks the real ones and ``radii`` are the
+    ball radii in the coordinates (x, y, b) of the count."""
+
+    degree: int
+    roots: np.ndarray = field(repr=False)
+    real: np.ndarray = field(repr=False)
+    radii: np.ndarray = field(repr=False)
+
+
+@dataclass(frozen=True)
 class PointRegularity:
     corner: float
     jacobian_ok: bool
@@ -416,13 +432,26 @@ def _square_line_roots(Y: Tensor3, rng, lines: int, tol: float):
     return _rank_deficient(Y, a[big] / norm[big], tol)
 
 
-def _two_param_roots(Y: Tensor3, rng, tol: float):
-    """All isolated rank-drop points of a 3-slice rectangular pencil.
+def _realified(A: np.ndarray) -> np.ndarray:
+    """[[Re A, -Im A], [Im A, Re A]] for complex r x c matrices A, stacked:
+    it maps (Re v, Im v) to (Re Av, Im Av), has the singular values of A
+    twice and the eigenvalues of A and their conjugates.  The root count
+    works on it so that only the real LAPACK routines the search loads run.
+    """
+    return np.block([[A.real, -A.imag], [A.imag, A.real]])
 
-    (Z1 + x Z2 + y Z3) b = 0 is compressed by two random n x u projections
-    into a pair of square two-parameter eigenproblems sharing (x, y), solved
-    through their Kronecker operator determinants.  Spurious compression
-    roots fail the sigma_n filter and drop out.
+
+def _two_param_candidates(Y: Tensor3, rng, real_x: bool):
+    """Compression and eigenvalue step of the two-parameter solver.
+
+    (Z1 + x Z2 + y Z3) b = 0, with Z the slices of Y in a random orthonormal
+    basis R, is compressed by two random n x u projections into a pair of
+    square two-parameter eigenproblems sharing (x, y), solved through their
+    Kronecker operator determinants Delta0, Delta1.  Returns R, Delta0 and
+    the finite candidates (x, y), spurious compression roots among them.
+    With ``real_x`` only real x are followed; otherwise each y comes with
+    its conjugate, from the realified pencils.  Raises LinAlgError when an
+    eigenvalue solve fails.
     """
     m, u, n = Y.d3, Y.d1, Y.d2
     if m != 3 or u <= n or u > 2 * n:
@@ -435,22 +464,155 @@ def _two_param_roots(Y: Tensor3, rng, tol: float):
     A2, B2, C2 = P2 @ Z[0], P2 @ Z[1], P2 @ Z[2]
     D0 = np.kron(B1, C2) - np.kron(C1, B2)
     D1 = np.kron(C1, A2) - np.kron(A1, C2)
-    try:
-        al, be = _pencil_eigvals(D1, D0)
-        finite = np.abs(be) >= 1e-10 * np.maximum(1.0, np.abs(al))
-        x = al[finite] / be[finite]
-        # (1, x, y) can only be real with real x
+    al, be = _pencil_eigvals(D1, D0)
+    finite = np.abs(be) >= 1e-10 * np.maximum(1.0, np.abs(al))
+    x = al[finite] / be[finite]
+    if real_x:  # (1, x, y) can only be real with real x
         x = x[np.abs(x.imag) <= 1e-7 * (1.0 + np.abs(x.real))].real
         al, be = _pencil_eigvals(A1 + x[:, None, None] * B1, -C1)
-    except np.linalg.LinAlgError:
-        return np.empty((0, 3))
+    else:
+        al, be = _pencil_eigvals(_realified(A1 + x[:, None, None] * B1),
+                                 _realified(-C1 + 0j))
     finite = np.abs(be) >= 1e-10 * np.maximum(1.0, np.abs(al))
     y = al[finite] / be[finite]
     x = np.broadcast_to(x[:, None], al.shape)[finite]
+    return R, D0, x, y
+
+
+def _two_param_roots(Y: Tensor3, rng, tol: float):
+    """All isolated real rank-drop points of a 3-slice rectangular pencil:
+    the real two-parameter candidates that pass the sigma_n filter, which
+    spurious compression roots fail."""
+    try:
+        R, _, x, y = _two_param_candidates(Y, rng, real_x=True)
+    except np.linalg.LinAlgError:
+        return np.empty((0, 3))
     a_rot = np.stack([np.ones_like(x), x, y.real], axis=1)
     real = np.abs(y.imag) <= 1e-7 * np.max(np.abs(a_rot), axis=1)
     a = a_rot[real] @ R
     return _rank_deficient(Y, a / np.linalg.norm(a, axis=1, keepdims=True), tol)
+
+
+def _kernel_system(Z: np.ndarray, z: np.ndarray, k: np.ndarray):
+    """Residuals F and Jacobians J of the square systems
+    M(1, x, y) b = 0, b_k = 1 (n+2 equations in z = (x, y, b)), stacked
+    over the rows of ``z`` and the entries of ``k``."""
+    r = np.arange(len(z))
+    x, y, b = z[:, 0, None], z[:, 1, None], z[:, 2:]
+    M = Z[0] + x[..., None] * Z[1] + y[..., None] * Z[2]
+    F = np.concatenate([np.einsum("rij,rj->ri", M, b),
+                        b[r, k, None] - 1.0], axis=1)
+    J = np.zeros((len(z),) + (z.shape[1],) * 2, dtype=z.dtype)
+    J[:, :-1, 0], J[:, :-1, 1], J[:, :-1, 2:] = b @ Z[1].T, b @ Z[2].T, M
+    J[r, -1, 2 + k] = 1.0
+    return F, J
+
+
+def _kantorovich_radii(Z: np.ndarray, z: np.ndarray, k: np.ndarray):
+    """Newton-Kantorovich ball radius 2 eta around each row of ``z``, or
+    inf where the test h = beta L eta <= 1/4 fails.
+
+    beta = |J^-1| and eta = |J^-1 F| at the centre, eta also covering the
+    rounding error of evaluating F.  F is bilinear in ((x, y), b), so
+    L = 2 sqrt(|Z2|^2 + |Z3|^2) bounds the Lipschitz constant of J.  The
+    theorem asks h <= 1/2 for a unique root, simple, within 2 eta; half of
+    it is kept as slack for the rounding in beta and eta.
+    """
+    F, J = _kernel_system(Z, z, k)
+    norms = np.linalg.norm(Z, ord=2, axis=(1, 2))
+    lipschitz = 2.0 * np.hypot(norms[1], norms[2])
+    f_error = (4 * (z.shape[1] + 1) * np.finfo(float).eps
+               * (norms[0] + np.abs(z[:, :2]) @ norms[1:])
+               * np.linalg.norm(z[:, 2:], axis=1))
+    U, s, _ = np.linalg.svd(_realified(J))  # each singular value twice
+    beta = 1.0 / s[:, -1]
+    step = np.einsum("rji,rj->ri", U, np.concatenate([F.real, F.imag], 1))
+    eta = np.linalg.norm(step / s, axis=1) + beta * f_error
+    return np.where(beta * lipschitz * eta <= 0.25, 2.0 * eta, np.inf)
+
+
+def corner_root_count(Y: Tensor3, seed: int | np.random.Generator = 0
+                      ) -> RootCount | None:
+    """Every complex rank-drop point of a 3-slice (n+1) x n pencil, each
+    certified in its own ball, or None when the count cannot be certified.
+
+    The candidates of the two-parameter solver whose complex
+    sigma_n / sigma_1 is small are Newton-polished on the square system
+    M(1, x, y) b = 0, b_k = 1 (k the largest entry of b, (1, x, y) an
+    affine chart chosen to keep every candidate far from infinity) and
+    certified by Newton-Kantorovich: a root is real when the ball centred
+    on its real projection certifies, and non-real when its certified ball
+    misses the real space.  The count is returned only when Delta0 is
+    nonsingular, which makes the rank-drop locus finite, of degree
+    C(u, n-1) = C(n+1, 2) counted with multiplicity, and when exactly that
+    many pairwise disjoint balls certify, so that every point of the locus
+    is found once and is simple.  Floating-point evidence, not interval
+    arithmetic.
+    """
+    u, n, m = Y.d1, Y.d2, Y.d3
+    if (m, u) != (3, n + 1):
+        raise ValueError(f"root count needs a 3-slice (n+1) x n pencil, "
+                         f"got {u}x{n}x{m}")
+    degree = math.comb(u, n - 1)
+    rng = np.random.default_rng(seed)
+    # the locus does not change with scale; an exact power of two keeps
+    # the Kronecker products of the solve in range
+    Y = Tensor3(np.ldexp(Y.data, -np.frexp(np.max(np.abs(Y.data)))[1]))
+    try:
+        with np.errstate(all="ignore"):
+            R, D0, x, y = _two_param_candidates(Y, rng, real_x=False)
+            s = np.linalg.svd(D0, compute_uv=False)
+            if not s[-1] > 1e-12 * s[0]:
+                return None
+            a = np.column_stack([np.ones_like(x), x, y]) @ R
+            a /= np.linalg.norm(a, axis=1, keepdims=True)
+            _, s, Vh = np.linalg.svd(_realified(_pencils(a, Y)))
+            near = s[:, -1] < 1e-6 * s[:, 0]
+            a, b = a[near], Vh[near, -1, :n] + 1j * Vh[near, -1, n:]
+            k = np.argmax(np.abs(b), axis=1)
+            # the chart (1, x, y) in the basis R whose line at infinity is,
+            # of 32 random ones, the farthest from every candidate: a root
+            # near infinity has a large x or y, and its ball does not certify
+            q = rng.standard_normal((32, 3))
+            q /= np.linalg.norm(q, axis=1, keepdims=True)
+            best = q[np.argmax(np.min(np.abs(a @ q.T), axis=0, initial=1.0))]
+            R = np.linalg.qr(np.column_stack(
+                [best, rng.standard_normal((3, 2))]))[0].T
+            Z = np.einsum("kl,lij->kij", R, Y.data)
+            a = a @ R.T
+            z = np.column_stack([a[:, 1:] / a[:, :1],
+                                 b / b[np.arange(len(b)), k, None]])
+            for _ in range(4):  # quadratic convergence from a close start
+                F, J = _kernel_system(Z, z, k)
+                step = np.linalg.solve(_realified(J), np.concatenate(
+                    [F.real, F.imag], axis=1)[..., None])[..., 0]
+                z = z - step[:, :n + 2] - 1j * step[:, n + 2:]
+            z = z[np.isfinite(z).all(axis=1)]
+            k = np.argmax(np.abs(z[:, 2:]), axis=1)
+            z[:, 2:] /= z[np.arange(len(z)), 2 + k, None]
+            centres = np.concatenate([z.real.astype(complex), z])
+            radii = _kantorovich_radii(Z, centres, np.concatenate([k, k]))
+    except np.linalg.LinAlgError:
+        return None
+    c = len(z)
+    real = np.isfinite(radii[:c])
+    nonreal = ~real & (np.linalg.norm(z.imag, axis=1) > radii[c:])
+    centres = np.where(real[:, None], centres[:c], z)
+    radii = np.where(real, radii[:c], np.where(nonreal, radii[c:], np.inf))
+    # keep balls pairwise disjoint in (x, y), smallest first: a ball that
+    # meets a kept one holds a root already counted or one beyond the degree
+    xy, kept = centres[:, :2], []
+    for i in np.argsort(radii)[:np.isfinite(radii).sum()]:
+        if all(np.linalg.norm(xy[i] - xy[j]) > radii[i] + radii[j]
+               for j in kept):
+            kept.append(i)
+    if len(kept) != degree:
+        return None
+    xy, real, radii = xy[kept], real[kept], radii[kept]
+    a = np.column_stack([np.ones(degree), xy]) @ R
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    a[real] = _canonical_sign(a[real].real)
+    return RootCount(degree=degree, roots=a, real=real, radii=radii)
 
 
 def _multistart_roots(Y: Tensor3, rng, restarts: int, tol: float):

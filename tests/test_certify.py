@@ -10,6 +10,7 @@ from rankatlas.certify import (
     NotInVError,
     RankExceedsP,
     RankP,
+    RootCountCertificate,
     certify,
     decompose,
     iota,
@@ -230,21 +231,23 @@ class TestCertify:
             CertifyBudget(search_rounds=0)
 
     def test_inconclusive_diagnostics(self):
-        # (3,5,3) samples with 2 or 4 real points cannot reach span 5
-        rng = np.random.default_rng(14)
+        # one search round on one line finds too few points to span R^6
+        rng = np.random.default_rng(11)
+        budget = CertifyBudget(search_rounds=1, search_lines=1)
         seen = False
-        for i in range(12):
-            T = Tensor3(rng.standard_normal((3, 3, 5)))
-            verdict = certify(T, seed=i)
+        for i in range(3):
+            T = Tensor3(rng.standard_normal((3, 3, 6)))
+            verdict = certify(T, budget, seed=i)
             if isinstance(verdict, Inconclusive):
                 assert "span_dim" in verdict.diagnostics
-                assert verdict.diagnostics["span_dim"] < 5
+                assert verdict.diagnostics["span_dim"] < 6
                 seen = True
         assert seen
 
     def test_search_stops_when_a_round_repeats(self, monkeypatch):
         # the two-parameter solve at 3x5x3 is complete, so a second round
-        # finds the same points; the search ends there and counts them once
+        # finds the same points; the search ends there, and they are the
+        # real roots of the count that decides the sample
         # the package's ``certify`` attribute is the function, not the module
         certify_mod = importlib.import_module("rankatlas.certify")
         search = certify_mod.rank_drop_search
@@ -259,14 +262,14 @@ class TestCertify:
         rng = np.random.default_rng(14)
         T = Tensor3(rng.standard_normal((3, 3, 5)))
         verdict = certify(T, seed=0)
-        assert isinstance(verdict, Inconclusive)
+        assert isinstance(verdict, RankExceedsP)
         assert len(calls) <= 2
         distinct = []
         for key in (key for keys in calls for key in keys):
             if all(np.linalg.norm(key - k) >= 1e-6 for k in distinct):
                 distinct.append(key)
         assert len(distinct) in (2, 4)
-        assert verdict.diagnostics["points_found"] == len(distinct)
+        assert verdict.roots.roots_real == len(distinct)
 
     def test_margin_runs_only_when_the_search_finds_nothing(self,
                                                             monkeypatch):
@@ -281,7 +284,7 @@ class TestCertify:
         monkeypatch.setattr(certify_mod, "afcr_margin_info", counting_margin)
         square = Tensor3(np.random.default_rng(11).standard_normal((3, 3, 6)))
         rect = Tensor3(np.random.default_rng(14).standard_normal((3, 3, 5)))
-        cases = [(square, "RankP", 0), (rect, "Inconclusive", 0),
+        cases = [(square, "RankP", 0), (rect, "RankExceedsP", 0),
                  (quaternion_high_rank_tensor(), "RankExceedsP", 1)]
         verdicts = []
         for T, kind, margin_calls in cases:
@@ -289,8 +292,9 @@ class TestCertify:
             verdicts.append(certify(T, seed=0))
             assert verdicts[-1].kind == kind
             assert len(calls) == margin_calls
-        # a found point, not a margin, makes the 3x5x3 sample Inconclusive
-        assert verdicts[1].diagnostics["points_found"] == 2
+        # a root count, not a margin, decides the 3x5x3 sample
+        assert verdicts[1].margin is None
+        assert verdicts[1].roots.roots_real == 2
         assert verdicts[2].margin > 1e-6
 
     def test_weak_margin_budget_does_not_overrule_a_witness(self):
@@ -303,6 +307,80 @@ class TestCertify:
         tiny = CertifyBudget(margin_restarts=1, margin_iters=1,
                              search_restarts=1, search_rounds=1)
         assert not isinstance(certify(T, tiny, seed=0), RankExceedsP)
+
+
+class TestRootCountVerdict:
+    def test_corner_samples_all_decided(self):
+        rng = np.random.default_rng(14)
+        for i in range(12):
+            T = Tensor3(rng.standard_normal((3, 3, 5)))
+            verdict = certify(T, seed=i)
+            assert verdict.kind in ("RankP", "RankExceedsP")
+            if isinstance(verdict, RankExceedsP):
+                assert verdict.margin is None
+                assert isinstance(verdict.roots, RootCountCertificate)
+                assert verdict.roots.degree == verdict.roots.roots_found == 6
+                assert verdict.roots.roots_real in (0, 2, 4)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_other_corner_shapes(self, n):
+        # 4x7x3 and 5x9x3: degree C(n+1, 2) = 10 and 15
+        rng = np.random.default_rng(40 + n)
+        for i in range(3):
+            T = Tensor3(rng.standard_normal((3, n, 2 * n - 1)))
+            verdict = certify(T, seed=i)
+            assert verdict.kind in ("RankP", "RankExceedsP")
+            if isinstance(verdict, RankExceedsP):
+                assert verdict.roots.degree == n * (n + 1) // 2
+                assert verdict.roots.roots_real < 2 * n - 1
+
+    def test_planted_rank_p_never_exceeds(self):
+        # with the assembly of the rank-5 certificate blocked, the count
+        # still finds at least p real roots and refuses rank > p
+        rng = np.random.default_rng(41)
+        blocked = CertifyBudget(cond_limit_N=1.0)
+        for i in range(8):
+            T = rank_terms_tensor(rng, 3, 5, 3, 5)
+            assert isinstance(certify(T, seed=i), RankP)
+            verdict = certify(T, blocked, seed=i)
+            assert isinstance(verdict, Inconclusive)
+            assert verdict.diagnostics["degree"] == 6
+            assert verdict.diagnostics["roots_found"] == 6
+            assert verdict.diagnostics["roots_real"] >= 5
+
+    def test_count_unavailable_keeps_old_verdict(self, monkeypatch):
+        certify_mod = importlib.import_module("rankatlas.certify")
+        monkeypatch.setattr(certify_mod, "corner_root_count",
+                            lambda *args, **kwargs: None)
+        rng = np.random.default_rng(14)
+        verdicts = [certify(Tensor3(rng.standard_normal((3, 3, 5))), seed=i)
+                    for i in range(5)]
+        for verdict in verdicts[:4]:
+            assert isinstance(verdict, Inconclusive)
+            assert verdict.diagnostics["points_found"] == 2
+            assert verdict.diagnostics["degree"] == 6
+            assert verdict.diagnostics["roots_found"] is None
+        # sample 4 has no real point, and the margin descent decides it
+        assert isinstance(verdicts[4], RankExceedsP)
+        assert verdicts[4].roots is None and verdicts[4].margin > 1e-6
+
+    def test_als_does_not_fit_newly_decided_samples(self):
+        # samples the count decides and the search alone left Inconclusive
+        from rankatlas.experiments import AlsBudget, als_fit
+
+        rng = np.random.default_rng(14)
+        for i in range(3):
+            T = Tensor3(rng.standard_normal((3, 3, 5)))
+            verdict = certify(T, seed=i)
+            assert verdict.roots.roots_real == 2
+            assert als_fit(T, 5, AlsBudget(restarts=3, sweeps=300),
+                           seed=i) > 1e-3
+
+    def test_verdict_needs_exactly_one_witness(self):
+        with pytest.raises(ValueError):
+            RankExceedsP()
+        with pytest.raises(ValueError):
+            RankExceedsP(margin=1.0, roots=object())
 
 
 class TestDecompose:

@@ -131,20 +131,34 @@ class TestCertifyCommand:
         assert "RankExceedsP" in out
 
     def test_strict_inconclusive_exit(self, capsys, tmp_path):
-        # seed chosen so that the (3,5,3) sample has too few real points
-        rng = np.random.default_rng(7)
-        found = None
-        for i in range(20):
-            T = Tensor3(rng.standard_normal((3, 3, 5)))
-            path = tmp_path / "t.json"
-            path.write_text(T.to_json())
-            code, out, _ = invoke(capsys, "certify", str(path), "--json")
-            if json.loads(out)["verdict"] == "Inconclusive":
-                found = path
-                break
-        assert found is not None
-        code, out, _ = invoke(capsys, "certify", str(found), "--strict")
+        # a rank-drop tolerance of 1e-300 admits no point, and the margin
+        # of the singular 3x6x3 pencil (about 1e-18) is below tolerance
+        T = Tensor3(np.random.default_rng(7).standard_normal((3, 3, 6)))
+        path = tmp_path / "t.json"
+        path.write_text(T.to_json())
+        code, out, _ = invoke(capsys, "certify", str(path), "--json",
+                              "--tol-rankdrop", "1e-300")
+        assert json.loads(out)["verdict"] == "Inconclusive"
+        code, out, _ = invoke(capsys, "certify", str(path), "--strict",
+                              "--tol-rankdrop", "1e-300")
         assert code == 1
+
+    def test_root_count_verdict(self, capsys, tmp_path):
+        T = Tensor3(np.random.default_rng(14).standard_normal((3, 3, 5)))
+        path = tmp_path / "t.json"
+        path.write_text(T.to_json())
+        code, out, _ = invoke(capsys, "certify", str(path))
+        assert code == 0
+        assert out.strip() == ("RankExceedsP: 2 of 6 rank-drop roots real "
+                               "(p = 5)")
+        code, out, _ = invoke(capsys, "certify", str(path), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verdict"] == "RankExceedsP"
+        assert payload["margin"] is None
+        assert set(payload["roots"]) == {"degree", "real", "max_radius"}
+        assert (payload["roots"]["degree"], payload["roots"]["real"]) == (6, 2)
+        assert 0 < payload["roots"]["max_radius"] < 1e-8
 
     def test_seed_reproducible(self, capsys, tmp_path):
         rng = np.random.default_rng(1)

@@ -10,8 +10,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # One planted tensor per solver path of the rank-drop search: 3x6x3 takes
 # the square-pencil path, 3x5x3 the two-parameter path and 4x11x4 the
-# Gauss-Newton multistart path.  The bilinear-map margin is the pencil
-# margin, and runs on numpy alone too.
+# Gauss-Newton multistart path.  A Gaussian 3x5x3 tensor is decided by the
+# certified root count.  The bilinear-map margin is the pencil margin, and
+# runs on numpy alone too.
 SCRIPT = """
 import sys
 import numpy as np
@@ -26,6 +27,8 @@ for n, p, m in ((3, 6, 3), (3, 5, 3), (4, 11, 4)):
     A, B, C = (rng.standard_normal(s) for s in ((n, p), (p, p), (m, p)))
     T = Tensor3(np.einsum("ij,aj,kj->kia", A, B, C))
     print(certify(T, seed=0).kind)
+T = Tensor3(np.random.default_rng(14).standard_normal((3, 3, 5)))
+print(certify(T, seed=0).kind)
 print(round(nonsingularity_margin(hypercomplex_mult(4)), 8))
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
@@ -38,5 +41,5 @@ def test_certify_paths_never_import_scipy():
     proc = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True,
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["RankP", "RankP", "RankP", "1.0",
-                                       "[]"]
+    assert proc.stdout.splitlines() == ["RankP", "RankP", "RankP",
+                                       "RankExceedsP", "1.0", "[]"]

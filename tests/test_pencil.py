@@ -11,6 +11,7 @@ from rankatlas.pencil import (
     afcr_margin_info,
     contract_pencil,
     corner_minor_jacobian,
+    corner_root_count,
     corner_minors,
     flatten,
     is_afcr,
@@ -346,6 +347,60 @@ class TestRankDropSearch:
     def test_wide_pencil_rejected(self):
         with pytest.raises(ValueError):
             rank_drop_search(Tensor3(np.zeros((2, 2, 3))))
+
+
+class TestCornerRootCount:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_every_root_certified(self, n):
+        # the (n+1) x n pencils of the 3x5x3, 4x7x3 and 5x9x3 corners have
+        # C(n+1, 2) = 6, 10 and 15 complex rank-drop points
+        rng = np.random.default_rng(30 + n)
+        degree = n * (n + 1) // 2
+        for trial in range(4):
+            Y = Tensor3(rng.standard_normal((3, n + 1, n)))
+            count = corner_root_count(Y, seed=trial)
+            assert count is not None
+            assert count.degree == len(count.roots) == degree
+            assert np.all(count.radii < 1e-8)
+            # non-real roots come in conjugate pairs
+            assert count.real.sum() % 2 == degree % 2
+            assert np.all(count.roots[count.real].imag == 0)
+            M = np.einsum("rk,kij->rij", count.roots, Y.data.astype(complex))
+            s = np.linalg.svd(M, compute_uv=False)
+            assert np.all(s[:, -1] < 1e-10 * s[:, 0])
+
+    def test_real_roots_are_the_search_points(self):
+        rng = np.random.default_rng(33)
+        for trial in range(6):
+            Y = Tensor3(rng.standard_normal((3, 4, 3)))
+            count = corner_root_count(Y, seed=trial)
+            points = rank_drop_search(Y, seed=trial)
+            real = count.roots[count.real].real
+            assert len(real) == len(points)
+            for pt in points:
+                gap = np.minimum(np.linalg.norm(real - pt.a, axis=1),
+                                 np.linalg.norm(real + pt.a, axis=1))
+                assert gap.min() < 1e-6
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_scale_does_not_change_the_count(self, scale):
+        Y = np.random.default_rng(35).standard_normal((3, 4, 3))
+        plain = corner_root_count(Tensor3(Y), seed=0)
+        scaled = corner_root_count(Tensor3(Y * scale), seed=0)
+        assert scaled is not None
+        assert scaled.degree == plain.degree
+        assert scaled.real.sum() == plain.real.sum()
+
+    def test_infinite_locus_is_not_counted(self):
+        # a zero column drops the rank everywhere: no finite count exists
+        Y = np.random.default_rng(34).standard_normal((3, 4, 3))
+        Y[:, :, 0] = 0.0
+        assert corner_root_count(Tensor3(Y), seed=0) is None
+
+    @pytest.mark.parametrize("shape", [(3, 5, 3), (4, 4, 3), (3, 3, 3)])
+    def test_only_corner_pencils(self, shape):
+        with pytest.raises(ValueError):
+            corner_root_count(Tensor3(np.ones(shape)))
 
 
 class TestPointRegularity:
