@@ -82,22 +82,23 @@ class BilinearMap:
 
 def _cd_conj(z: np.ndarray) -> np.ndarray:
     out = -z
-    out[0] = z[0]
+    out[..., 0] = z[..., 0]
     return out
 
 
 def _cd_mult(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # Cayley-Dickson doubling: (a,b)(c,d) = (ac - conj(d) b, d a + b conj(c))
-    n = len(x)
+    # Cayley-Dickson doubling on the last axis, broadcast over the others:
+    # (a,b)(c,d) = (ac - conj(d) b, d a + b conj(c))
+    n = x.shape[-1]
     if n == 1:
         return x * y
     h = n // 2
-    a, b = x[:h], x[h:]
-    c, d = y[:h], y[h:]
+    a, b = x[..., :h], x[..., h:]
+    c, d = y[..., :h], y[..., h:]
     return np.concatenate([
         _cd_mult(a, c) - _cd_mult(_cd_conj(d), b),
         _cd_mult(d, a) + _cd_mult(b, _cd_conj(c)),
-    ])
+    ], axis=-1)
 
 
 def hypercomplex_mult(d: int) -> BilinearMap:
@@ -107,12 +108,9 @@ def hypercomplex_mult(d: int) -> BilinearMap:
     """
     if d not in (1, 2, 4, 8):
         raise ValueError(f"d must be one of 1, 2, 4, 8; got {d}")
-    coeffs = np.zeros((d, d, d))
     eye = np.eye(d)
-    for i in range(d):
-        for j in range(d):
-            coeffs[:, i, j] = _cd_mult(eye[i], eye[j])
-    return BilinearMap(coeffs)
+    products = _cd_mult(eye[:, None, :], eye[None, :, :])  # [i, j, k]
+    return BilinearMap(np.moveaxis(products, -1, 0))
 
 
 def convolve(g: BilinearMap, m: int, n: int) -> BilinearMap:

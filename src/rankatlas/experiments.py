@@ -7,7 +7,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -67,6 +66,17 @@ def _khatri_rao(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (A[:, None, :] * B[None, :, :]).reshape(-1, r)
 
 
+def _cp_jacobian(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Jacobian of ``einsum("ij,aj,kj->iak", A, B, C).ravel()`` in the
+    packed entries (A.ravel(), B.ravel(), C.ravel()): the column of A[p, j]
+    is e_p x B[:, j] x C[:, j], and likewise for B and C."""
+    d1, d2, d3 = len(A), len(B), len(C)
+    blocks = (np.einsum("ip,aj,kj->iakpj", np.eye(d1), B, C),
+              np.einsum("ij,ap,kj->iakpj", A, np.eye(d2), C),
+              np.einsum("ij,aj,kp->iakpj", A, B, np.eye(d3)))
+    return np.hstack([blk.reshape(d1 * d2 * d3, -1) for blk in blocks])
+
+
 def _cp_lm_polish(X: np.ndarray, A, B, C, iters: int):
     """Levenberg-Marquardt on all factor entries; ALS alone crawls through
     swamps near tight decompositions, LM converges quadratically."""
@@ -85,37 +95,22 @@ def _cp_lm_polish(X: np.ndarray, A, B, C, iters: int):
         A, B, C = split(x)
         return np.einsum("ij,aj,kj->iak", A, B, C).ravel()
 
-    def jacobian(x):
-        # columns in the same packed (row-major per factor) order as x
-        A, B, C = split(x)
-        eye1, eye2, eye3 = np.eye(d1), np.eye(d2), np.eye(d3)
-        cols = []
-        for i in range(d1):
-            for j in range(r):
-                cols.append(np.einsum(
-                    "i,a,k->iak", eye1[i], B[:, j], C[:, j]).ravel())
-        for a in range(d2):
-            for j in range(r):
-                cols.append(np.einsum(
-                    "i,a,k->iak", A[:, j], eye2[a], C[:, j]).ravel())
-        for k in range(d3):
-            for j in range(r):
-                cols.append(np.einsum(
-                    "i,a,k->iak", A[:, j], B[:, j], eye3[k]).ravel())
-        return np.column_stack(cols)
-
     res = target - model(x)
     cost = np.linalg.norm(res)
     lam = 1e-4
     for _ in range(iters):
-        J = jacobian(x)
+        J = _cp_jacobian(*split(x))
         g = J.T @ res
         if np.linalg.norm(g) < 1e-14:
             break
+        H = J.T @ J
+        del J  # freed before the solve copies H, and H before the next J
+        H.flat[::x.size + 1] += lam
         try:
-            step = np.linalg.solve(J.T @ J + lam * np.eye(x.size), g)
+            step = np.linalg.solve(H, g)
         except np.linalg.LinAlgError:
             break
+        del H
         xn = x + step
         resn = target - model(xn)
         costn = np.linalg.norm(resn)
@@ -209,21 +204,11 @@ def terracini_generic_rank(m: int, n: int, p: int,
         raise ValueError("dimensions must be positive")
     rng = np.random.default_rng(seed)
     full = m * n * p
-    eye_m, eye_n, eye_p = np.eye(m), np.eye(n), np.eye(p)
     for r in range(1, full + 1):
-        cols = []
-        for _ in range(r):
-            a = rng.standard_normal(m)
-            b = rng.standard_normal(n)
-            c = rng.standard_normal(p)
-            for s in range(m):
-                cols.append(np.einsum("i,j,k->ijk", eye_m[s], b, c).ravel())
-            for s in range(n):
-                cols.append(np.einsum("i,j,k->ijk", a, eye_n[s], c).ravel())
-            for s in range(p):
-                cols.append(np.einsum("i,j,k->ijk", a, b, eye_p[s]).ravel())
-        J = np.column_stack(cols)
-        sv = np.linalg.svd(J, compute_uv=False)
+        # one (a, b, c) per term, drawn in that order, as the factor columns
+        terms = [[rng.standard_normal(d) for d in (m, n, p)] for _ in range(r)]
+        A, B, C = (np.column_stack(f) for f in zip(*terms))
+        sv = np.linalg.svd(_cp_jacobian(A, B, C), compute_uv=False)
         rank = int(np.sum(sv > rtol * sv[0]))
         if rank == full:
             return r
@@ -317,8 +302,10 @@ def _run_one(cfg: ExperimentConfig, idx: int) -> SampleRow:
     if cfg.run_als:
         als_budget = AlsBudget(restarts=cfg.als_restarts,
                                sweeps=cfg.als_sweeps)
-        als_p = als_fit(T, cfg.p, als_budget, seed=rng)
-        als_p1 = als_fit(T, cfg.p + 1, als_budget, seed=rng)
+        # a stream of its own, so that certify's draws do not move it
+        als_rng = np.random.default_rng([cfg.seed, idx, 1])
+        als_p = als_fit(T, cfg.p, als_budget, seed=als_rng)
+        als_p1 = als_fit(T, cfg.p + 1, als_budget, seed=als_rng)
     wall_ms = (time.perf_counter() - t0) * 1000.0 if cfg.include_timings else 0.0
     if verdict is None:
         return SampleRow(idx, "NotInV", None, als_p, als_p1, None, None, wall_ms)
@@ -347,6 +334,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         threads = max(1, min(threads, int(env_cap)))
     indices = range(cfg.samples)
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(lambda i: _run_one(cfg, i), indices))
     else:

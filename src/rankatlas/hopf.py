@@ -169,21 +169,17 @@ class HashBoundsTable:
         return lo if lo == hi else None
 
     def to_json(self) -> str:
-        payload = {
-            "max_dim": self.max_dim,
-            "entries": [
-                {
-                    "m": m,
-                    "n": n,
-                    "lower": e.lower,
-                    "upper": e.upper,
-                    "lower_rule": e.lower_rule,
-                    "upper_rule": e.upper_rule,
-                }
-                for (m, n), e in sorted(self.entries.items())
-            ],
-        }
-        return json.dumps(payload, indent=1)
+        # The text of json.dumps(payload, indent=1), one string per entry:
+        # an indent sends json to its pure-Python encoder, whose chunks
+        # hold about twelve times the output.
+        rows = ",\n".join(
+            f'  {{\n   "m": {m},\n   "n": {n},\n   "lower": {e.lower},\n'
+            f'   "upper": {e.upper},\n'
+            f'   "lower_rule": {json.dumps(e.lower_rule)},\n'
+            f'   "upper_rule": {json.dumps(e.upper_rule)}\n  }}'
+            for (m, n), e in sorted(self.entries.items()))
+        entries = f"[\n{rows}\n ]" if rows else "[]"
+        return f'{{\n "max_dim": {self.max_dim},\n "entries": {entries}\n}}'
 
     @classmethod
     def from_json(cls, text: str) -> "HashBoundsTable":

@@ -14,7 +14,34 @@ from rankatlas.bilinear import (
 from rankatlas.pencil import MarginBudget, afcr_margin, contract_pencil
 
 
+def cayley_dickson(x, y):
+    # oracle: one pair at a time, (a,b)(c,d) = (ac - conj(d) b, d a + b conj(c))
+    if len(x) == 1:
+        return x * y
+    h = len(x) // 2
+    a, b, c, d = x[:h], x[h:], y[:h], y[h:]
+
+    def conj(z):
+        return np.concatenate([z[:1], -z[1:]])
+
+    return np.concatenate([
+        cayley_dickson(a, c) - cayley_dickson(conj(d), b),
+        cayley_dickson(d, a) + cayley_dickson(b, conj(c)),
+    ])
+
+
 class TestHypercomplex:
+    @pytest.mark.parametrize("d", [1, 2, 4, 8])
+    def test_coefficients_match_per_pair_products(self, d):
+        eye = np.eye(d)
+        expected = np.zeros((d, d, d))
+        for i in range(d):
+            for j in range(d):
+                expected[:, i, j] = cayley_dickson(eye[i], eye[j])
+        coeffs = hypercomplex_mult(d).coeffs
+        assert np.array_equal(coeffs, expected)
+        assert np.array_equal(np.signbit(coeffs), np.signbit(expected))
+
     def test_scalar(self):
         f = hypercomplex_mult(1)
         assert f(np.array([3.0]), np.array([4.0])) == pytest.approx([12.0])

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from rankatlas import experiments
 from rankatlas.experiments import (
     AlsBudget,
     ExperimentConfig,
@@ -55,6 +56,28 @@ class TestAls:
     def test_rank_validated(self):
         with pytest.raises(ValueError):
             als_fit(Tensor3(np.zeros((2, 2, 2))), 0)
+
+    @pytest.mark.parametrize("d1,d2,d3,r", [(3, 6, 3, 6), (4, 12, 4, 12),
+                                             (3, 5, 3, 5)])
+    def test_jacobian_matches_per_column_products(self, d1, d2, d3, r):
+        rng = np.random.default_rng(d2)
+        A, B, C = (rng.standard_normal((d, r)) for d in (d1, d2, d3))
+        # oracle: one column per packed entry of (A, B, C), row-major each
+        cols = []
+        for i in range(d1):
+            for j in range(r):
+                cols.append(np.einsum("i,a,k->iak", np.eye(d1)[i], B[:, j],
+                                      C[:, j]).ravel())
+        for a in range(d2):
+            for j in range(r):
+                cols.append(np.einsum("i,a,k->iak", A[:, j], np.eye(d2)[a],
+                                      C[:, j]).ravel())
+        for k in range(d3):
+            for j in range(r):
+                cols.append(np.einsum("i,a,k->iak", A[:, j], B[:, j],
+                                      np.eye(d3)[k]).ravel())
+        assert np.array_equal(experiments._cp_jacobian(A, B, C),
+                              np.column_stack(cols))
 
 
 class TestTerracini:
@@ -116,6 +139,24 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         for row in report.rows:
             assert row.als_p is not None and row.als_p1 is not None
+
+    def test_als_columns_do_not_depend_on_certify_draws(self, monkeypatch):
+        cfg = ExperimentConfig(n=3, p=5, m=3, samples=3, seed=3, run_als=True,
+                               als_restarts=1, als_sweeps=50,
+                               include_timings=False)
+
+        def als_columns():
+            return [(r.als_p, r.als_p1) for r in run_experiment(cfg).rows]
+
+        plain = als_columns()
+        certify = experiments.certify
+
+        def hungry_certify(T, budget, seed):
+            seed.standard_normal(7)
+            return certify(T, budget, seed=seed)
+
+        monkeypatch.setattr(experiments, "certify", hungry_certify)
+        assert als_columns() == plain
 
     def test_config_json_roundtrip(self):
         cfg = ExperimentConfig(n=3, p=5, m=3, samples=4, seed=9, run_als=True)

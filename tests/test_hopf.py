@@ -1,8 +1,11 @@
+import json
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from tests_helpers import peak_alloc_mb
 
 from rankatlas.hopf import (
     BoundsContradictionError,
@@ -244,3 +247,36 @@ def test_exact_helper(table16):
     for m, n in opens:
         lo, hi = table16.interval(m, n)
         assert lo < hi
+
+
+def indent_one_json(table):
+    # independent oracle: the standard encoder on the full payload
+    return json.dumps({
+        "max_dim": table.max_dim,
+        "entries": [
+            {"m": m, "n": n, "lower": e.lower, "upper": e.upper,
+             "lower_rule": e.lower_rule, "upper_rule": e.upper_rule}
+            for (m, n), e in sorted(table.entries.items())
+        ],
+    }, indent=1)
+
+
+class TestTableJson:
+    @pytest.mark.parametrize("max_dim", [2, 8, 16, 33, 64])
+    def test_text_is_the_standard_encoding(self, max_dim):
+        table = build_bounds_table(max_dim)
+        text = table.to_json()
+        assert text == indent_one_json(table)
+        again = HashBoundsTable.from_json(text)
+        assert again.max_dim == max_dim
+        assert again.entries == table.entries
+
+    def test_empty_table(self):
+        table = HashBoundsTable(max_dim=5)
+        assert table.to_json() == indent_one_json(table)
+        assert HashBoundsTable.from_json(table.to_json()).entries == {}
+
+    def test_peak_memory_at_64(self):
+        # the pure-Python indent encoder peaked at about 3 MB here
+        table = build_bounds_table(64)
+        assert peak_alloc_mb(table.to_json) < 1.5

@@ -43,3 +43,16 @@ def test_certify_paths_never_import_scipy():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["RankP", "RankP", "RankP",
                                        "RankExceedsP", "1.0", "[]"]
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    # run_experiment imports concurrent.futures only for threads > 1
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    script = ("import sys, rankatlas, rankatlas.cli; "
+              "print('concurrent.futures' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

@@ -1,5 +1,7 @@
 """Shared constructions for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 
 from rankatlas.bilinear import as_tensor, hypercomplex_mult
@@ -18,3 +20,13 @@ def quaternion_high_rank_tensor():
     A = -np.linalg.solve(fl1[:, 12:], fl1[:, :12])
     F = np.vstack([np.eye(12), A])
     return tensor_from_fl2(F, 4, 4)
+
+
+def peak_alloc_mb(fn) -> float:
+    """Peak memory traced by tracemalloc while ``fn()`` runs, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
