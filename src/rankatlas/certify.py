@@ -2,13 +2,13 @@
 
 A tensor T with invertible leading p x p block of its mode-2 flattening is
 reduced to a u x p matrix (``sigma``), embedded as a pencil with trailing
--E_u block (``iota``), and interrogated through that pencil, search first:
-real rank-drop points with independent ``phi`` images assemble an explicit
-p-term decomposition certifying rank == p.  At the corner p = 2n - 1 of
-m = 3 a certified count of the complex rank-drop points with fewer than p
-real ones gives rank > p; elsewhere only a search that finds no point runs
-the full-column-rank margin, whose positive value gives rank > p.  Anything
-else is Inconclusive.
+-E_u block (``iota``), and interrogated through that pencil by one
+rank-drop search: when the ``phi`` images of the real points it finds span
+R^p, they assemble an explicit p-term decomposition certifying rank == p.
+At the corner p = 2n - 1 of m = 3 a certified count of the complex
+rank-drop points with fewer than p real ones gives rank > p; elsewhere only
+a search that finds no point runs the full-column-rank margin, whose
+positive value gives rank > p.  Anything else is Inconclusive.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .pencil import (
     RootCount,
     SearchBudget,
     Tensor3,
+    _binary_scaled,
     afcr_margin_info,
     contract_pencil,
     corner_root_count,
@@ -130,10 +131,9 @@ def span_dimension_U(points, dims: ProblemDims, rtol: float = 1e-8) -> int:
 class CertifyBudget:
     margin_restarts: int = 40
     margin_iters: int = 60
-    probe_lines: int = 30
     search_lines: int = 40
     search_restarts: int = 300
-    search_rounds: int = 5
+    search_rounds: int = 5  # unused; goes with ROADMAP item 6's benchmark
     tol_rankdrop: float = 1e-8
     tol_margin: float = 1e-6
     cond_limit_N: float = 1e10
@@ -216,14 +216,6 @@ class Inconclusive:
 Verdict = Union[RankP, RankExceedsP, Inconclusive]
 
 
-def _binary_scaled(T: Tensor3) -> tuple[Tensor3, int]:
-    """T divided by 2**e, the power of two nearest max |T|, and e.  The
-    division is exact, and it keeps Frobenius norms of T and of residuals
-    finite and nonzero at any scale."""
-    e = int(np.frexp(np.max(np.abs(T.data)))[1])
-    return Tensor3(np.ldexp(T.data, -e)), e
-
-
 def _problem_dims(T: Tensor3) -> ProblemDims:
     n, p, m = T.d1, T.d2, T.d3
     return ProblemDims(m=m, n=n, p=p)
@@ -285,57 +277,28 @@ def _assemble(T, W, dims, budget, chosen, diagnostics):
         residual=residual, pencil_residual=pencil_res)
 
 
-def _new_points(points, seen: np.ndarray, tol: float):
-    """The (d, b) pairs of ``points`` at distance ``tol`` or more from every
-    row of ``seen``, and the same pairs as rows laid out like ``seen``."""
-    pairs, rows = [], []
-    for pt in points:
-        row = np.concatenate([pt.a, pt.b])
-        if len(seen) and np.min(np.linalg.norm(seen - row, axis=1)) < tol:
-            continue
-        pairs.append((pt.a, pt.b))
-        rows.append(row)
-    return pairs, np.reshape(rows, (-1, seen.shape[1]))
-
-
 def _collect_certificate(T, W, dims, budget, rng, diagnostics):
-    """Search rounds, each with twice the lines of the last, until the
-    distinct points span R^p and assemble a certificate.  A round that adds
-    no new distinct point ends the search, since a complete solve repeats
-    itself.  Returns the certificate or None, and the distinct (d, b) found
-    as rows."""
-    p = dims.p
-    candidates: list = []  # (phi column, (d, b)) pairs, pairwise distinct
-    seen = np.empty((0, dims.m + dims.n))  # the (d, b) of each candidate
-    best_span = 0
+    """One rank-drop search, its distinct points assembled into a
+    certificate when their phi images span R^p.  The search is complete or
+    finds many points: the two-parameter solve returns every isolated real
+    point at once, and the line and multistart probes meet a dense locus
+    many times, so a second search would add nothing.  Returns the
+    certificate or None, and the d of each distinct point found as rows."""
     search_budget = SearchBudget(
         restarts=budget.search_restarts, lines=budget.search_lines,
         tol=budget.tol_rankdrop)
-    for _ in range(budget.search_rounds):
-        found = rank_drop_search(W, dims, search_budget, seed=rng)
-        # the points of one search are distinct; only earlier rounds' points
-        # can repeat one
-        pairs, rows = _new_points(found, seen, search_budget.dedup_tol)
-        if not pairs:
-            break
-        del found  # not held through the next, larger search
-        candidates += [(phi(d, b, dims), (d, b)) for d, b in pairs]
-        seen = np.vstack([seen, rows])
-        diagnostics["points_found"] = len(candidates)
-        span, chosen = _select_independent(candidates, p)
-        best_span = max(best_span, span)
-        diagnostics["span_dim"] = best_span
-        if span >= p:
-            cert = _assemble(T, W, dims, budget, chosen, diagnostics)
-            if cert is not None:
-                return cert, seen
-        # widen the search before the next round
-        search_budget = SearchBudget(
-            restarts=search_budget.restarts,
-            lines=search_budget.lines * 2,
-            tol=search_budget.tol)
-    diagnostics.setdefault("span_dim", best_span)
-    return None, seen
+    found = rank_drop_search(W, dims, search_budget, seed=rng)
+    if not found:
+        diagnostics["span_dim"] = 0
+        return None, np.empty((0, dims.m))
+    candidates = [(phi(pt.a, pt.b, dims), (pt.a, pt.b)) for pt in found]
+    diagnostics["points_found"] = len(candidates)
+    span, chosen = _select_independent(candidates, dims.p)
+    diagnostics["span_dim"] = span
+    cert = None
+    if span >= dims.p:
+        cert = _assemble(T, W, dims, budget, chosen, diagnostics)
+    return cert, np.array([pt.a for pt in found])
 
 
 def _root_count_certificate(W, dims, found, rng, diagnostics):
@@ -364,8 +327,8 @@ def certify(T: Tensor3, budget: CertifyBudget | None = None,
             seed: int | np.random.Generator = 0) -> Verdict:
     """Decide whether rank T == p or rank T > p, with explicit witnesses.
 
-    Procedure: form W = iota(sigma(T)) and collect real rank-drop points of
-    the pencil until their phi images span R^p and the resulting p-term
+    Procedure: form W = iota(sigma(T)) and search the pencil once for real
+    rank-drop points; when their phi images span R^p, the resulting p-term
     reconstruction is verified.  T is first divided by the power of two
     nearest max |T|, so that residuals stay finite at any scale.
 
@@ -408,16 +371,14 @@ def certify(T: Tensor3, budget: CertifyBudget | None = None,
     if cert is not None:
         return RankP(certificate=cert, diagnostics=diagnostics)
     if (dims.m, dims.u) == (3, dims.n + 1):
-        roots = _root_count_certificate(W, dims, found[:, :dims.m], rng,
-                                        diagnostics)
+        roots = _root_count_certificate(W, dims, found, rng, diagnostics)
         if roots is not None:
             return RankExceedsP(roots=roots)
     if len(found):  # a found point rules out rank > p
         return Inconclusive(diagnostics=diagnostics)
 
-    margin_budget = MarginBudget(
-        restarts=budget.margin_restarts, iters=budget.margin_iters,
-        probe_lines=budget.probe_lines)
+    margin_budget = MarginBudget(restarts=budget.margin_restarts,
+                                 iters=budget.margin_iters)
     margin = afcr_margin_info(W.scaled(1.0 / W.norm()), margin_budget,
                               seed=rng).value
     diagnostics["margin"] = margin

@@ -88,10 +88,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_afcr(args) -> int:
-    try:
-        Y = _read_tensor(args.file)
-    except (OSError, ValueError, KeyError) as exc:
-        return _fail(str(exc))
+    Y = _read_tensor(args.file)
     budget = MarginBudget(restarts=args.budget_restarts)
     ok, margin_norm = is_afcr(Y, tol=args.tol, budget=budget, seed=args.seed)
     margin = margin_norm * Y.norm()  # report on the tensor's own scale
@@ -129,16 +126,10 @@ def _verdict_payload(verdict) -> dict:
 
 
 def _cmd_certify(args) -> int:
-    try:
-        T = _read_tensor(args.file)
-    except (OSError, ValueError, KeyError) as exc:
-        return _fail(str(exc))
+    T = _read_tensor(args.file)
     budget = CertifyBudget(search_restarts=args.budget_restarts,
                            tol_rankdrop=args.tol_rankdrop)
-    try:
-        verdict = certify(T, budget, seed=args.seed)
-    except ValueError as exc:
-        return _fail(str(exc))
+    verdict = certify(T, budget, seed=args.seed)
     payload = _verdict_payload(verdict)
     if args.json:
         print(json.dumps(payload))
@@ -269,7 +260,7 @@ def run(argv: list[str]) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (OSError, ValueError, KeyError) as exc:
         return _fail(str(exc))
 
 

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .certify import CertifyBudget, NotInVError, RankP, certify
+from .certify import CertifyBudget, NotInVError, RankExceedsP, RankP, certify
 from .classify import classify
 from .pencil import Tensor3
 
@@ -309,19 +309,14 @@ def _run_one(cfg: ExperimentConfig, idx: int) -> SampleRow:
     wall_ms = (time.perf_counter() - t0) * 1000.0 if cfg.include_timings else 0.0
     if verdict is None:
         return SampleRow(idx, "NotInV", None, als_p, als_p1, None, None, wall_ms)
-    name = verdict.kind
-    residual = None
-    points = span = None
+    residual = points = span = None
     if isinstance(verdict, RankP):
         residual = verdict.certificate.residual
-        points = verdict.diagnostics.get("points_found",
-                                         len(verdict.certificate.points))
-        span = verdict.diagnostics.get("span_dim",
-                                       verdict.certificate.dims.p)
-    elif name == "Inconclusive":
+    if not isinstance(verdict, RankExceedsP):
         points = verdict.diagnostics.get("points_found")
         span = verdict.diagnostics.get("span_dim")
-    return SampleRow(idx, name, residual, als_p, als_p1, points, span, wall_ms)
+    return SampleRow(idx, verdict.kind, residual, als_p, als_p1, points, span,
+                     wall_ms)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:

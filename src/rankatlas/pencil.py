@@ -315,11 +315,13 @@ def kernel_vector_psi(a, Y: Tensor3, rows) -> np.ndarray:
 # -- rank-drop search ---------------------------------------------------------
 
 
+MARGIN_PROBE_LINES = 30  # square-pencil lines probed for margin candidates
+
+
 @dataclass(frozen=True)
 class MarginBudget:
     restarts: int = 60
     iters: int = 80
-    probe_lines: int = 30
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -365,6 +367,14 @@ class PointRegularity:
     corner: float
     jacobian_ok: bool
     jacobian: np.ndarray = field(repr=False, default=None)
+
+
+def _binary_scaled(T: Tensor3) -> tuple[Tensor3, int]:
+    """T divided by 2**e, the power of two nearest max |T|, and e.  The
+    division is exact, and it keeps Frobenius norms of T and of residuals
+    finite and nonzero at any scale."""
+    e = int(np.frexp(np.max(np.abs(T.data)))[1])
+    return Tensor3(np.ldexp(T.data, -e)), e
 
 
 def _unit(x: np.ndarray) -> np.ndarray:
@@ -557,7 +567,7 @@ def corner_root_count(Y: Tensor3, seed: int | np.random.Generator = 0
     rng = np.random.default_rng(seed)
     # the locus does not change with scale; an exact power of two keeps
     # the Kronecker products of the solve in range
-    Y = Tensor3(np.ldexp(Y.data, -np.frexp(np.max(np.abs(Y.data)))[1]))
+    Y = _binary_scaled(Y)[0]
     try:
         with np.errstate(all="ignore"):
             R, D0, x, y = _two_param_candidates(Y, rng, real_x=False)
@@ -727,7 +737,7 @@ def afcr_margin_info(Y: Tensor3, budget: MarginBudget | None = None,
     def value(a):
         return np.linalg.svd(contract_pencil(a, Y), compute_uv=False)[n - 1]
 
-    roots = _structured_roots(Y, rng, budget.probe_lines, np.inf)
+    roots = _structured_roots(Y, rng, MARGIN_PROBE_LINES, np.inf)
     candidates = np.vstack([np.eye(m)] + ([] if roots is None else [roots]))
     values = np.linalg.svd(_pencils(candidates, Y), compute_uv=False)[:, n - 1]
     best_val, best_a = values.min(), candidates[values.argmin()]

@@ -244,32 +244,46 @@ class TestCertify:
                 seen = True
         assert seen
 
-    def test_search_stops_when_a_round_repeats(self, monkeypatch):
-        # the two-parameter solve at 3x5x3 is complete, so a second round
-        # finds the same points; the search ends there, and they are the
-        # real roots of the count that decides the sample
+    def test_one_search_per_certify(self, monkeypatch):
+        # each certify makes one search: a second would repeat a complete
+        # solve or meet a dense locus again.  The 3x5x3 solve is complete,
+        # so its points are the real roots of the count that decides the
+        # sample; the quaternion pencil has no point, so its one search is
+        # followed by one margin call
         # the package's ``certify`` attribute is the function, not the module
         certify_mod = importlib.import_module("rankatlas.certify")
         search = certify_mod.rank_drop_search
-        calls = []
+        margin = certify_mod.afcr_margin_info
+        searches, margins = [], []
 
         def counting_search(*args, **kwargs):
             points = search(*args, **kwargs)
-            calls.append([np.concatenate([pt.a, pt.b]) for pt in points])
+            searches.append(points)
             return points
 
+        def counting_margin(*args, **kwargs):
+            margins.append(1)
+            return margin(*args, **kwargs)
+
         monkeypatch.setattr(certify_mod, "rank_drop_search", counting_search)
-        rng = np.random.default_rng(14)
-        T = Tensor3(rng.standard_normal((3, 3, 5)))
-        verdict = certify(T, seed=0)
-        assert isinstance(verdict, RankExceedsP)
-        assert len(calls) <= 2
-        distinct = []
-        for key in (key for keys in calls for key in keys):
-            if all(np.linalg.norm(key - k) >= 1e-6 for k in distinct):
-                distinct.append(key)
-        assert len(distinct) in (2, 4)
-        assert verdict.roots.roots_real == len(distinct)
+        monkeypatch.setattr(certify_mod, "afcr_margin_info", counting_margin)
+        square = Tensor3(np.random.default_rng(11).standard_normal((3, 3, 6)))
+        rect = Tensor3(np.random.default_rng(14).standard_normal((3, 3, 5)))
+        planted = rank_terms_tensor(np.random.default_rng(5), 4, 11, 4, 11)
+        cases = [(square, "RankP", 0), (rect, "RankExceedsP", 0),
+                 (planted, "RankP", 0),
+                 (quaternion_high_rank_tensor(), "RankExceedsP", 1)]
+        for T, kind, margin_calls in cases:
+            searches.clear()
+            margins.clear()
+            verdict = certify(T, seed=0)
+            assert verdict.kind == kind
+            assert len(searches) == 1
+            assert len(margins) == margin_calls
+            if T is rect:
+                points = searches[0]
+                assert len(points) in (2, 4)
+                assert verdict.roots.roots_real == len(points)
 
     def test_margin_runs_only_when_the_search_finds_nothing(self,
                                                             monkeypatch):

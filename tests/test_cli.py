@@ -227,3 +227,37 @@ class TestUsage:
         code, _, err = invoke(capsys, "certify", str(path))
         assert code == 2
         assert "window" in err
+
+
+class TestInputErrors:
+    # each is exit 2 with an ``error:`` line, never a traceback
+
+    def assert_input_error(self, capsys, *argv):
+        code, _, err = invoke(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ")
+
+    def test_make_bilinear_missing_base(self, capsys, tmp_path):
+        self.assert_input_error(
+            capsys, "make-bilinear", "--kind", "restrict", "--base",
+            str(tmp_path / "absent.json"), "--a", "3", "--b", "3")
+
+    def test_make_bilinear_malformed_base(self, capsys, tmp_path):
+        base = tmp_path / "base.json"
+        base.write_text('{"a": 4}')
+        self.assert_input_error(
+            capsys, "make-bilinear", "--kind", "convolve", "--base",
+            str(base), "--m", "2", "--n", "2")
+
+    def test_make_bilinear_unwritable_out(self, capsys, tmp_path):
+        self.assert_input_error(
+            capsys, "make-bilinear", "--kind", "cd", "--dim", "4", "--out",
+            str(tmp_path / "absent" / "map.json"))
+
+    @pytest.mark.parametrize("key", ["csv_path", "json_path"])
+    def test_experiment_unwritable_output(self, capsys, tmp_path, key):
+        cfg = {"n": 3, "p": 6, "m": 3, "samples": 1, "seed": 4,
+               key: str(tmp_path / "absent" / "out")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        self.assert_input_error(capsys, "experiment", str(path))
