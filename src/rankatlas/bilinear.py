@@ -73,6 +73,9 @@ class BilinearMap:
     @classmethod
     def from_json(cls, text: str) -> "BilinearMap":
         payload = json.loads(text)
+        for key in ("a", "b", "c", "coeffs"):
+            if key not in payload:
+                raise ValueError(f"bilinear map: missing field '{key}'")
         a, b, c = int(payload["a"]), int(payload["b"]), int(payload["c"])
         arr = np.asarray(payload["coeffs"], dtype=float)
         if arr.size != a * b * c:

@@ -281,9 +281,9 @@ def _collect_certificate(T, W, dims, budget, rng, diagnostics):
     """One rank-drop search, its distinct points assembled into a
     certificate when their phi images span R^p.  The search is complete or
     finds many points: the two-parameter solve returns every isolated real
-    point at once, and the line and multistart probes meet a dense locus
-    many times, so a second search would add nothing.  Returns the
-    certificate or None, and the d of each distinct point found as rows."""
+    point at once, and lines, 3-dim slices and multistart probes meet a
+    dense locus many times, so a second search would add nothing.  Returns
+    the certificate or None, and the d of each distinct point as rows."""
     search_budget = SearchBudget(
         restarts=budget.search_restarts, lines=budget.search_lines,
         tol=budget.tol_rankdrop)

@@ -79,7 +79,8 @@ def _cmd_trank(args) -> int:
 def _cmd_bounds(args) -> int:
     table = build_bounds_table(args.max)
     if args.json:
-        print(table.to_json())
+        sys.stdout.writelines(table.json_chunks())
+        print()
     else:
         print(f"# m n lower upper lower_rule upper_rule (max_dim={table.max_dim})")
         for (m, n), e in sorted(table.entries.items()):

@@ -125,7 +125,7 @@ _SURVEY_LOWER_RULES = ("davis", "davis-mahowald", "davis-2011")
 _SURVEY_UPPER_RULES = ("milgram",)
 
 
-@dataclass
+@dataclass(slots=True)
 class BoundEntry:
     lower: int
     upper: int
@@ -168,18 +168,23 @@ class HashBoundsTable:
         lo, hi = self.interval(m, n)
         return lo if lo == hi else None
 
+    def json_chunks(self):
+        """The text of ``json.dumps(payload, indent=1)``, one entry at a
+        time: an indent sends json to its pure-Python encoder, whose chunks
+        hold about twelve times the output."""
+        yield f'{{\n "max_dim": {self.max_dim},\n "entries": '
+        sep = "["
+        for m, n in sorted(self.entries):
+            e = self.entries[m, n]
+            yield (f'{sep}\n  {{\n   "m": {m},\n   "n": {n},\n'
+                   f'   "lower": {e.lower},\n   "upper": {e.upper},\n'
+                   f'   "lower_rule": {json.dumps(e.lower_rule)},\n'
+                   f'   "upper_rule": {json.dumps(e.upper_rule)}\n  }}')
+            sep = ","
+        yield "[]\n}" if sep == "[" else "\n ]\n}"
+
     def to_json(self) -> str:
-        # The text of json.dumps(payload, indent=1), one string per entry:
-        # an indent sends json to its pure-Python encoder, whose chunks
-        # hold about twelve times the output.
-        rows = ",\n".join(
-            f'  {{\n   "m": {m},\n   "n": {n},\n   "lower": {e.lower},\n'
-            f'   "upper": {e.upper},\n'
-            f'   "lower_rule": {json.dumps(e.lower_rule)},\n'
-            f'   "upper_rule": {json.dumps(e.upper_rule)}\n  }}'
-            for (m, n), e in sorted(self.entries.items()))
-        entries = f"[\n{rows}\n ]" if rows else "[]"
-        return f'{{\n "max_dim": {self.max_dim},\n "entries": {entries}\n}}'
+        return "".join(self.json_chunks())
 
     @classmethod
     def from_json(cls, text: str) -> "HashBoundsTable":

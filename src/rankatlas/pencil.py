@@ -316,6 +316,7 @@ def kernel_vector_psi(a, Y: Tensor3, rows) -> np.ndarray:
 
 
 MARGIN_PROBE_LINES = 30  # square-pencil lines probed for margin candidates
+SLICES = 8  # random 3-dim slices per search of an (n+1) x n, m > 3 pencil
 
 
 @dataclass(frozen=True)
@@ -330,7 +331,7 @@ class MarginBudget:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    restarts: int = 300      # multistart path (m > 3, u > n)
+    restarts: int = 300      # multistart path (m > 3 and u > n + 1)
     lines: int = 20          # square-pencil probe lines
     tol: float = 1e-8        # sigma_n/sigma_1 declaring rank deficiency
     dedup_tol: float = 1e-6  # projective identification threshold
@@ -657,12 +658,20 @@ def _multistart_roots(Y: Tensor3, rng, restarts: int, tol: float):
 
 def _structured_roots(Y: Tensor3, rng, lines: int, tol: float):
     """Rank-drop candidates from the square-pencil or the two-parameter
-    solver, or None when neither applies to the shape of Y."""
+    solver, or None when neither applies to the shape of Y.  The slices
+    a = H c of an (n+1) x n pencil have orthonormal H, so |a| = |c|."""
     u, n, m = Y.d1, Y.d2, Y.d3
     if u == n:
         return _square_line_roots(Y, rng, lines, tol)
     if m == 3 and u <= 2 * n:
         return _two_param_roots(Y, rng, tol)
+    if m > 3 and u == n + 1:
+        found = []
+        for _ in range(SLICES):
+            H = np.linalg.qr(rng.standard_normal((m, 3)))[0]
+            Z = Tensor3(np.einsum("kc,kij->cij", H, Y.data))
+            found.append(_two_param_roots(Z, rng, tol) @ H.T)
+        return np.concatenate(found)
     return None
 
 
@@ -689,10 +698,12 @@ def rank_drop_search(Y: Tensor3, dims: ProblemDims | None = None,
 
     Square pencils (u == n) are handled by real generalized eigenvalues on
     random lines; 3-slice rectangular pencils by the complete two-parameter
-    eigenvalue reduction; anything else by batched Gauss-Newton on
-    M(a, Y) b = 0 from random starts.  One point is returned per kernel
-    basis vector.  An empty result means the search failed, not that no
-    points exist.
+    eigenvalue reduction; (n+1) x n pencils with m > 3 slices, whose locus
+    has codimension 2, by that reduction on SLICES random real 3-dim
+    slices; anything else by batched Gauss-Newton on M(a, Y) b = 0 from
+    random starts.  One point is returned per kernel basis vector.  An
+    empty result means the search failed, not that no points exist: a real
+    curve of the locus can miss a real slice.
     """
     budget = budget or SearchBudget()
     rng = np.random.default_rng(seed)

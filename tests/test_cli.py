@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from rankatlas.classify import classify
 from rankatlas.cli import run
+from rankatlas.hopf import build_bounds_table
 from rankatlas.pencil import Tensor3
 from tests_helpers import quaternion_high_rank_tensor
 
@@ -55,6 +57,18 @@ class TestBounds:
         assert code == 0
         payload = json.loads(out)
         assert payload["max_dim"] == 5
+
+    @pytest.mark.parametrize("max_dim", [2, 16, 64])
+    def test_json_is_the_table_text(self, capsys, max_dim):
+        # written one entry at a time, the same text as to_json()
+        code, out, _ = invoke(capsys, "bounds", "--max", str(max_dim),
+                              "--json")
+        assert code == 0
+        assert out == build_bounds_table(max_dim).to_json() + "\n"
+        if max_dim == 64:
+            assert hashlib.sha256(out.encode()).hexdigest() == (
+                "a6d8e0af41864f15754e185c3f002c2d"
+                "8f87129355c2c8b7de02cc820ec6bc28")
 
 
 class TestAfcrCommand:
@@ -248,6 +262,23 @@ class TestInputErrors:
         self.assert_input_error(
             capsys, "make-bilinear", "--kind", "convolve", "--base",
             str(base), "--m", "2", "--n", "2")
+
+    def test_make_bilinear_base_error_names_the_field(self, capsys,
+                                                      tmp_path):
+        base = tmp_path / "base.json"
+        base.write_text('{"a": 4}')
+        code, _, err = invoke(capsys, "make-bilinear", "--kind", "convolve",
+                              "--base", str(base), "--m", "2", "--n", "2")
+        assert code == 2
+        assert "missing field 'b'" in err
+
+    @pytest.mark.parametrize("command", ["certify", "afcr"])
+    def test_map_file_error_names_the_field(self, capsys, tmp_path, command):
+        path = tmp_path / "map.json"
+        path.write_text('{"b": 2, "c": 2, "coeffs": [1, 0, 0, 1]}')
+        code, _, err = invoke(capsys, command, str(path))
+        assert code == 2
+        assert err.startswith("error: ") and "missing field 'a'" in err
 
     def test_make_bilinear_unwritable_out(self, capsys, tmp_path):
         self.assert_input_error(

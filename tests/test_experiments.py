@@ -79,6 +79,41 @@ class TestAls:
         assert np.array_equal(experiments._cp_jacobian(A, B, C),
                               np.column_stack(cols))
 
+    @pytest.mark.parametrize("lam", [1e-4, 1.0])
+    @pytest.mark.parametrize("d1,d2,d3", [(3, 6, 3), (4, 12, 4), (3, 5, 3)])
+    def test_lm_step_matches_the_dense_solve(self, d1, d2, d3, lam):
+        rng = np.random.default_rng(d2)
+        A, B, C = (rng.standard_normal((d, d2)) for d in (d1, d2, d3))
+        R = rng.standard_normal((d1, d2, d3))
+        J = experiments._cp_jacobian(A, B, C)
+        dense = np.linalg.solve(J.T @ J + lam * np.eye(J.shape[1]),
+                                J.T @ R.ravel())
+        step = experiments._cp_lm_step(R, A, B, C, lam)
+        assert (np.linalg.norm(step - dense)
+                <= 1e-8 * np.linalg.norm(dense))
+
+    def test_fit_forms_no_jacobian(self):
+        from tests_helpers import peak_alloc_mb
+
+        # the dense Jacobian and J^T J of one 4x12x4 rank-12 step alone
+        # hold 0.8 MB
+        rng = np.random.default_rng(12)
+        A, B, C = (rng.standard_normal(s) for s in ((4, 12), (12, 12),
+                                                    (4, 12)))
+        T = Tensor3(np.einsum("ij,aj,kj->kia", A, B, C))
+        assert peak_alloc_mb(
+            lambda: als_fit(T, 12, AlsBudget(restarts=1))) < 0.3
+
+    @pytest.mark.parametrize("shape,seed", [((3, 5, 3), 5), ((3, 5, 3), 18),
+                                            ((3, 6, 3), 9)])
+    def test_fits_planted_tensors_through_a_slow_polish(self, shape, seed):
+        # each needs more than 200 polish steps from every start
+        n, p, m = shape
+        rng = np.random.default_rng(seed)
+        A, B, C = (rng.standard_normal(s) for s in ((n, p), (p, p), (m, p)))
+        T = Tensor3(np.einsum("ij,aj,kj->kia", A, B, C))
+        assert als_fit(T, p, seed=seed) < 1e-6
+
 
 class TestTerracini:
     def test_three_three_five(self):

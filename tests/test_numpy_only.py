@@ -9,10 +9,11 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # One planted tensor per solver path of the rank-drop search: 3x6x3 takes
-# the square-pencil path, 3x5x3 the two-parameter path and 4x11x4 the
-# Gauss-Newton multistart path.  A Gaussian 3x5x3 tensor is decided by the
-# certified root count.  The bilinear-map margin is the pencil margin, and
-# runs on numpy alone too.
+# the square-pencil path, 3x5x3 the two-parameter path, 4x11x4 the
+# two-parameter path on 3-dim slices and 4x10x4 the Gauss-Newton multistart
+# path.  A Gaussian 3x5x3 tensor is decided by the certified root count.
+# The bilinear-map margin is the pencil margin, and runs on numpy alone too,
+# as does the ALS fit.
 SCRIPT = """
 import sys
 import numpy as np
@@ -20,16 +21,19 @@ import rankatlas
 import rankatlas.cli
 from rankatlas.bilinear import hypercomplex_mult, nonsingularity_margin
 from rankatlas.certify import certify
+from rankatlas.experiments import AlsBudget, als_fit
 from rankatlas.pencil import Tensor3
 
 rng = np.random.default_rng(0)
-for n, p, m in ((3, 6, 3), (3, 5, 3), (4, 11, 4)):
+planted = []
+for n, p, m in ((3, 6, 3), (3, 5, 3), (4, 11, 4), (4, 10, 4)):
     A, B, C = (rng.standard_normal(s) for s in ((n, p), (p, p), (m, p)))
-    T = Tensor3(np.einsum("ij,aj,kj->kia", A, B, C))
-    print(certify(T, seed=0).kind)
+    planted.append(Tensor3(np.einsum("ij,aj,kj->kia", A, B, C)))
+    print(certify(planted[-1], seed=0).kind)
 T = Tensor3(np.random.default_rng(14).standard_normal((3, 3, 5)))
 print(certify(T, seed=0).kind)
 print(round(nonsingularity_margin(hypercomplex_mult(4)), 8))
+print(als_fit(planted[0], 6, AlsBudget(restarts=1), seed=0) < 1e-6)
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
@@ -41,8 +45,8 @@ def test_certify_paths_never_import_scipy():
     proc = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True,
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["RankP", "RankP", "RankP",
-                                       "RankExceedsP", "1.0", "[]"]
+    assert proc.stdout.splitlines() == ["RankP", "RankP", "RankP", "RankP",
+                                       "RankExceedsP", "1.0", "True", "[]"]
 
 
 def test_import_leaves_the_thread_pool_unloaded():

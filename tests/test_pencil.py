@@ -21,6 +21,7 @@ from rankatlas.pencil import (
     point_regularity,
     rank_drop_search,
 )
+from rankatlas import pencil
 from rankatlas.bilinear import as_tensor, hypercomplex_mult, restrict
 
 
@@ -333,10 +334,25 @@ class TestRankDropSearch:
         b = [tuple(p.a) for p in rank_drop_search(Y, seed=5)]
         assert a == b
 
-    def test_multistart_path(self):
-        # four slices, u > n: only the budgeted multistart applies
+    def test_sliced_path(self, monkeypatch):
+        # four slices, u = n + 1: the two-parameter solver on 3-dim slices
+        def no_multistart(*args):
+            raise AssertionError("the multistart ran")
+
+        monkeypatch.setattr(pencil, "_multistart_roots", no_multistart)
         rng = np.random.default_rng(20)
         Y = Tensor3(rng.standard_normal((4, 5, 4)))
+        pts = rank_drop_search(Y, seed=1)
+        assert pts
+        for p in pts:
+            assert p.quality < 1e-8
+            M = contract_pencil(p.a, Y)
+            assert np.linalg.norm(M @ p.b) <= 1e-6 * Y.norm()
+
+    def test_multistart_path(self):
+        # four slices, u = n + 2: only the budgeted multistart applies
+        rng = np.random.default_rng(21)
+        Y = Tensor3(rng.standard_normal((4, 6, 4)))
         pts = rank_drop_search(Y, budget=SearchBudget(restarts=25), seed=1)
         assert pts
         for p in pts:
