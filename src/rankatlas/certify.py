@@ -2,13 +2,15 @@
 
 A tensor T with invertible leading p x p block of its mode-2 flattening is
 reduced to a u x p matrix (``sigma``), embedded as a pencil with trailing
--E_u block (``iota``), and interrogated through that pencil by one
-rank-drop search: when the ``phi`` images of the real points it finds span
-R^p, they assemble an explicit p-term decomposition certifying rank == p.
-At the corner p = 2n - 1 of m = 3 a certified count of the complex
-rank-drop points with fewer than p real ones gives rank > p; elsewhere only
-a search that finds no point runs the full-column-rank margin, whose
-positive value gives rank > p.  Anything else is Inconclusive.
+-E_u block (``iota``), and interrogated through the real rank-drop points
+of that pencil: when their ``phi`` images span R^p, they assemble an
+explicit p-term decomposition certifying rank == p.  At the corner
+p = 2n - 1 of m = 3 one certified count of the complex rank-drop points
+supplies them as its real roots, and fewer than p real roots give
+rank > p.  Elsewhere, and where the count does not certify, one rank-drop
+search supplies them, and only a search that finds no point runs the
+full-column-rank margin, whose positive value gives rank > p.  Anything
+else is Inconclusive.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .pencil import (
     SearchBudget,
     Tensor3,
     _binary_scaled,
+    _kernel_points,
     afcr_margin_info,
     contract_pencil,
     corner_root_count,
@@ -133,7 +136,7 @@ class CertifyBudget:
     margin_iters: int = 60
     search_lines: int = 40
     search_restarts: int = 300
-    search_rounds: int = 5  # unused; goes with ROADMAP item 6's benchmark
+    search_rounds: int = 5  # unused; goes with ROADMAP item 8's benchmark
     tol_rankdrop: float = 1e-8
     tol_margin: float = 1e-6
     cond_limit_N: float = 1e10
@@ -244,7 +247,18 @@ def _select_independent(candidates, p, rtol=1e-8):
     return len(piv), [candidates[j][1] for j in piv[:p]]
 
 
-def _assemble(T, W, dims, budget, chosen, diagnostics):
+def _collect_certificate(T, W, dims, budget, found, diagnostics):
+    """The rank-drop points ``found`` assembled into a certificate when
+    their phi images span R^p and every check passes, or None."""
+    if not found:
+        diagnostics["span_dim"] = 0
+        return None
+    candidates = [(phi(pt.a, pt.b, dims), (pt.a, pt.b)) for pt in found]
+    diagnostics["points_found"] = len(candidates)
+    span, chosen = _select_independent(candidates, dims.p)
+    diagnostics["span_dim"] = span
+    if span < dims.p:
+        return None
     n, p, m = dims.n, dims.p, dims.m
     A = np.column_stack([b for _, b in chosen])
     D = np.array([d for d, _ in chosen])  # p x m
@@ -277,60 +291,16 @@ def _assemble(T, W, dims, budget, chosen, diagnostics):
         residual=residual, pencil_residual=pencil_res)
 
 
-def _collect_certificate(T, W, dims, budget, rng, diagnostics):
-    """One rank-drop search, its distinct points assembled into a
-    certificate when their phi images span R^p.  The search is complete or
-    finds many points: the two-parameter solve returns every isolated real
-    point at once, and lines, 3-dim slices and multistart probes meet a
-    dense locus many times, so a second search would add nothing.  Returns
-    the certificate or None, and the d of each distinct point as rows."""
-    search_budget = SearchBudget(
-        restarts=budget.search_restarts, lines=budget.search_lines,
-        tol=budget.tol_rankdrop)
-    found = rank_drop_search(W, dims, search_budget, seed=rng)
-    if not found:
-        diagnostics["span_dim"] = 0
-        return None, np.empty((0, dims.m))
-    candidates = [(phi(pt.a, pt.b, dims), (pt.a, pt.b)) for pt in found]
-    diagnostics["points_found"] = len(candidates)
-    span, chosen = _select_independent(candidates, dims.p)
-    diagnostics["span_dim"] = span
-    cert = None
-    if span >= dims.p:
-        cert = _assemble(T, W, dims, budget, chosen, diagnostics)
-    return cert, np.array([pt.a for pt in found])
-
-
-def _root_count_certificate(W, dims, found, rng, diagnostics):
-    """The root-count witness of rank > p at the corner, or None.  The
-    count must certify, find fewer than p real roots, and match every
-    distinct search point ``found`` (rows d) to a real root; the degree and
-    the roots found and real go into ``diagnostics``."""
-    count = corner_root_count(W, seed=rng)
-    diagnostics["degree"] = math.comb(dims.u, dims.n - 1)
-    if count is None:
-        diagnostics["roots_found"] = diagnostics["roots_real"] = None
-        return None
-    cert = RootCountCertificate(p=dims.p, count=count)
-    diagnostics["roots_found"] = cert.roots_found
-    diagnostics["roots_real"] = cert.roots_real
-    real = count.roots[count.real].real
-    gap = np.linalg.norm(found[:, None] - real[None], axis=2)
-    gap = np.minimum(gap, np.linalg.norm(found[:, None] + real[None], axis=2))
-    matched = gap.min(axis=1, initial=np.inf) < SearchBudget.dedup_tol
-    if cert.roots_real < dims.p and matched.all():
-        return cert
-    return None
-
-
 def certify(T: Tensor3, budget: CertifyBudget | None = None,
             seed: int | np.random.Generator = 0) -> Verdict:
     """Decide whether rank T == p or rank T > p, with explicit witnesses.
 
-    Procedure: form W = iota(sigma(T)) and search the pencil once for real
-    rank-drop points; when their phi images span R^p, the resulting p-term
-    reconstruction is verified.  T is first divided by the power of two
-    nearest max |T|, so that residuals stay finite at any scale.
+    Procedure: form W = iota(sigma(T)) and find its real rank-drop points
+    once, as the real roots of the certified count at the corner below and
+    by one rank-drop search elsewhere; when their phi images span R^p, the
+    resulting p-term reconstruction is verified.  T is first divided by the
+    power of two nearest max |T|, so that residuals stay finite at any
+    scale.
 
     Without a certificate, rank > p is decided in one of two ways.
 
@@ -346,10 +316,11 @@ def certify(T: Tensor3, budget: CertifyBudget | None = None,
     the locus is finite (a nonsingular Delta0 in its two-parameter solve)
     and certifies C(u, n-1) pairwise distinct simple roots, so it has found
     every point, each with a one-dimensional kernel; fewer than p real
-    roots among them give rank > p.  The verdict also asks every distinct
-    point the search found to match a certified real root.  This is a
-    floating-point certificate, its Newton-Kantorovich balls computed in
-    floating point with slack for rounding, not interval arithmetic.  The
+    roots among them give rank > p.  The same real roots, Newton-polished,
+    are the points the rank-p certificate is assembled from, so no search
+    runs when the count certifies.  This is a floating-point certificate,
+    its Newton-Kantorovich balls computed in floating point with slack for
+    rounding, not interval arithmetic.  The
     dichotomy of Sumi, Miyazaki and Sakata (the real locus is empty or
     Zariski-dense) covers p >= (m-1)(n-1) + 2 only; at the corner the locus
     is finite instead, which is what makes the count possible.
@@ -367,14 +338,28 @@ def certify(T: Tensor3, budget: CertifyBudget | None = None,
     W = iota_tensor(sigma(T), dims.n, dims.m)
 
     diagnostics: dict = {}
-    cert, found = _collect_certificate(T, W, dims, budget, rng, diagnostics)
+    roots = None
+    if (dims.m, dims.u) == (3, dims.n + 1):
+        count = corner_root_count(W, seed=rng)
+        diagnostics["degree"] = math.comb(dims.u, dims.n - 1)
+        diagnostics["roots_found"] = diagnostics["roots_real"] = None
+        if count is not None:
+            roots = RootCountCertificate(p=dims.p, count=count)
+            diagnostics["roots_found"] = roots.roots_found
+            diagnostics["roots_real"] = roots.roots_real
+    if roots is None:
+        found = rank_drop_search(W, dims, SearchBudget(
+            restarts=budget.search_restarts, lines=budget.search_lines,
+            tol=budget.tol_rankdrop), seed=rng)
+    else:  # the certified real roots are every real rank-drop point
+        real = roots.count.roots[roots.count.real].real
+        found = _kernel_points(W, real, budget.tol_rankdrop)
+    cert = _collect_certificate(T, W, dims, budget, found, diagnostics)
     if cert is not None:
         return RankP(certificate=cert, diagnostics=diagnostics)
-    if (dims.m, dims.u) == (3, dims.n + 1):
-        roots = _root_count_certificate(W, dims, found, rng, diagnostics)
-        if roots is not None:
-            return RankExceedsP(roots=roots)
-    if len(found):  # a found point rules out rank > p
+    if roots is not None and roots.roots_real < dims.p:
+        return RankExceedsP(roots=roots)
+    if found or roots is not None:  # a real point rules out rank > p
         return Inconclusive(diagnostics=diagnostics)
 
     margin_budget = MarginBudget(restarts=budget.margin_restarts,

@@ -84,7 +84,6 @@ def _circ_search(r: int, s: int) -> int:
     return n
 
 
-@lru_cache(maxsize=None)
 def _circ_recursion(r: int, s: int) -> int:
     if r == 1 or s == 1:
         return max(r, s)

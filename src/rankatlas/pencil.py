@@ -514,7 +514,8 @@ def _kernel_system(Z: np.ndarray, z: np.ndarray, k: np.ndarray):
     F = np.concatenate([np.einsum("rij,rj->ri", M, b),
                         b[r, k, None] - 1.0], axis=1)
     J = np.zeros((len(z),) + (z.shape[1],) * 2, dtype=z.dtype)
-    J[:, :-1, 0], J[:, :-1, 1], J[:, :-1, 2:] = b @ Z[1].T, b @ Z[2].T, M
+    J[:, :-1, :2] = np.einsum("rj,kij->rik", b, Z[1:])
+    J[:, :-1, 2:] = M
     J[r, -1, 2 + k] = 1.0
     return F, J
 
@@ -575,7 +576,11 @@ def corner_root_count(Y: Tensor3, seed: int | np.random.Generator = 0
             s = np.linalg.svd(D0, compute_uv=False)
             if not s[-1] > 1e-12 * s[0]:
                 return None
-            a = np.column_stack([np.ones_like(x), x, y]) @ R
+            # complex rows times real matrices by einsum, and a stable sort
+            # below: ``@`` and the default argsort would load 0.5 MB of
+            # complex BLAS and SIMD sort code that nothing else runs
+            a = np.einsum("rk,kl->rl",
+                          np.column_stack([np.ones_like(x), x, y]), R)
             a /= np.linalg.norm(a, axis=1, keepdims=True)
             _, s, Vh = np.linalg.svd(_realified(_pencils(a, Y)))
             near = s[:, -1] < 1e-6 * s[:, 0]
@@ -586,11 +591,12 @@ def corner_root_count(Y: Tensor3, seed: int | np.random.Generator = 0
             # near infinity has a large x or y, and its ball does not certify
             q = rng.standard_normal((32, 3))
             q /= np.linalg.norm(q, axis=1, keepdims=True)
-            best = q[np.argmax(np.min(np.abs(a @ q.T), axis=0, initial=1.0))]
+            best = q[np.argmax(np.min(np.abs(np.einsum("rk,qk->rq", a, q)),
+                                      axis=0, initial=1.0))]
             R = np.linalg.qr(np.column_stack(
                 [best, rng.standard_normal((3, 2))]))[0].T
             Z = np.einsum("kl,lij->kij", R, Y.data)
-            a = a @ R.T
+            a = np.einsum("rk,lk->rl", a, R)
             z = np.column_stack([a[:, 1:] / a[:, :1],
                                  b / b[np.arange(len(b)), k, None]])
             for _ in range(4):  # quadratic convergence from a close start
@@ -613,14 +619,14 @@ def corner_root_count(Y: Tensor3, seed: int | np.random.Generator = 0
     # keep balls pairwise disjoint in (x, y), smallest first: a ball that
     # meets a kept one holds a root already counted or one beyond the degree
     xy, kept = centres[:, :2], []
-    for i in np.argsort(radii)[:np.isfinite(radii).sum()]:
+    for i in np.argsort(radii, kind="stable")[:np.isfinite(radii).sum()]:
         if all(np.linalg.norm(xy[i] - xy[j]) > radii[i] + radii[j]
                for j in kept):
             kept.append(i)
     if len(kept) != degree:
         return None
     xy, real, radii = xy[kept], real[kept], radii[kept]
-    a = np.column_stack([np.ones(degree), xy]) @ R
+    a = np.einsum("rk,kl->rl", np.column_stack([np.ones(degree), xy]), R)
     a /= np.linalg.norm(a, axis=1, keepdims=True)
     a[real] = _canonical_sign(a[real].real)
     return RootCount(degree=degree, roots=a, real=real, radii=radii)
@@ -715,13 +721,19 @@ def rank_drop_search(Y: Tensor3, dims: ProblemDims | None = None,
     raw = _structured_roots(Y, rng, budget.lines, budget.tol)
     if raw is None:
         raw = _multistart_roots(Y, rng, budget.restarts, budget.tol)
+    return _kernel_points(Y, _dedup_points(raw, budget.dedup_tol), budget.tol)
+
+
+def _kernel_points(Y: Tensor3, rows, tol: float) -> list[RankDropPoint]:
+    """The rank-drop points at the distinct unit vectors a in ``rows``: one
+    per right singular vector of M(a, Y) whose sigma_i / sigma_1 is below
+    ``tol``."""
     points = []
-    for a in _dedup_points(raw, budget.dedup_tol):
-        M = contract_pencil(a, Y)
-        _, s, Vt = np.linalg.svd(M)
+    for a in rows:
+        _, s, Vt = np.linalg.svd(contract_pencil(a, Y))
         top = s[0] if s[0] > 0 else 1.0
-        for i in range(n - 1, -1, -1):
-            if s[i] / top < budget.tol:
+        for i in range(Y.d2 - 1, -1, -1):
+            if s[i] / top < tol:
                 points.append(RankDropPoint(
                     a=a, b=_canonical_sign(Vt[i]), quality=float(s[i] / top)))
             else:

@@ -245,45 +245,80 @@ class TestCertify:
         assert seen
 
     def test_one_search_per_certify(self, monkeypatch):
-        # each certify makes one search: a second would repeat a complete
-        # solve or meet a dense locus again.  The 3x5x3 solve is complete,
-        # so its points are the real roots of the count that decides the
-        # sample; the quaternion pencil has no point, so its one search is
-        # followed by one margin call
+        # each certify makes at most one search: a second would repeat a
+        # complete solve or meet a dense locus again.  At the 3x5x3 corner
+        # the certified root count supplies the points, so no search runs
+        # and the points are the count's real roots; the quaternion pencil
+        # has no point, so its one search is followed by one margin call
         # the package's ``certify`` attribute is the function, not the module
         certify_mod = importlib.import_module("rankatlas.certify")
         search = certify_mod.rank_drop_search
         margin = certify_mod.afcr_margin_info
-        searches, margins = [], []
+        kernel_points = certify_mod._kernel_points
+        searches, margins, points = [], [], []
 
         def counting_search(*args, **kwargs):
-            points = search(*args, **kwargs)
-            searches.append(points)
-            return points
+            found = search(*args, **kwargs)
+            searches.append(found)
+            return found
 
         def counting_margin(*args, **kwargs):
             margins.append(1)
             return margin(*args, **kwargs)
 
+        def counting_points(*args, **kwargs):
+            found = kernel_points(*args, **kwargs)
+            points.append(found)
+            return found
+
         monkeypatch.setattr(certify_mod, "rank_drop_search", counting_search)
         monkeypatch.setattr(certify_mod, "afcr_margin_info", counting_margin)
+        monkeypatch.setattr(certify_mod, "_kernel_points", counting_points)
         square = Tensor3(np.random.default_rng(11).standard_normal((3, 3, 6)))
         rect = Tensor3(np.random.default_rng(14).standard_normal((3, 3, 5)))
         planted = rank_terms_tensor(np.random.default_rng(5), 4, 11, 4, 11)
-        cases = [(square, "RankP", 0), (rect, "RankExceedsP", 0),
-                 (planted, "RankP", 0),
-                 (quaternion_high_rank_tensor(), "RankExceedsP", 1)]
-        for T, kind, margin_calls in cases:
+        cases = [(square, "RankP", 1, 0), (rect, "RankExceedsP", 0, 0),
+                 (planted, "RankP", 1, 0),
+                 (quaternion_high_rank_tensor(), "RankExceedsP", 1, 1)]
+        for T, kind, search_calls, margin_calls in cases:
             searches.clear()
             margins.clear()
+            points.clear()
             verdict = certify(T, seed=0)
             assert verdict.kind == kind
-            assert len(searches) == 1
+            assert len(searches) == search_calls
             assert len(margins) == margin_calls
+            assert len(points) == 1 - search_calls
             if T is rect:
-                points = searches[0]
-                assert len(points) in (2, 4)
-                assert verdict.roots.roots_real == len(points)
+                assert len(points[0]) in (2, 4)
+                assert verdict.roots.roots_real == len(points[0])
+
+    def test_corner_makes_one_two_parameter_solve(self, monkeypatch):
+        # the root count's solve is the only one: its real roots are the
+        # points a rank-p certificate is assembled from
+        pencil_mod = importlib.import_module("rankatlas.pencil")
+        solve = pencil_mod._two_param_candidates
+        calls = []
+
+        def counting_solve(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(pencil_mod, "_two_param_candidates",
+                            counting_solve)
+        rect = Tensor3(np.random.default_rng(14).standard_normal((3, 3, 5)))
+        planted = rank_terms_tensor(np.random.default_rng(41), 3, 5, 3, 5)
+        for T, kind in ((rect, "RankExceedsP"), (planted, "RankP")):
+            calls.clear()
+            verdict = certify(T, seed=0)
+            assert verdict.kind == kind
+            assert len(calls) == 1
+        assert verdict.diagnostics["degree"] == 6
+        assert verdict.diagnostics["roots_found"] == 6
+        assert verdict.diagnostics["roots_real"] >= 5
+        assert verdict.diagnostics["points_found"] == \
+            verdict.diagnostics["roots_real"]
+        assert verdict.certificate.residual <= 1e-6
 
     def test_margin_runs_only_when_the_search_finds_nothing(self,
                                                             monkeypatch):
