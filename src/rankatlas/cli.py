@@ -222,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="rank-p decision for a tensor")
     p_cert.add_argument("file")
     p_cert.add_argument("--seed", type=int, default=0)
-    p_cert.add_argument("--budget-restarts", type=int, default=300)
+    p_cert.add_argument("--budget-restarts", type=int, default=300,
+                        help="multistart search starts (u > n+1, m >= 4 only)")
     p_cert.add_argument("--tol-rankdrop", type=float, default=1e-8)
     p_cert.add_argument("--strict", action="store_true",
                         help="exit 1 on Inconclusive")

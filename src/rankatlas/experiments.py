@@ -13,7 +13,7 @@ import numpy as np
 
 from .certify import CertifyBudget, NotInVError, RankExceedsP, RankP, certify
 from .classify import classify
-from .pencil import Tensor3
+from .pencil import ProblemDims, Tensor3
 
 __all__ = [
     "AlsBudget",
@@ -57,7 +57,7 @@ class AlsBudget:
     restarts: int = 5
     sweeps: int = 500
     stall_tol: float = 1e-12
-    polish_iters: int = 2000  # a cap; the polish ends when its step stalls
+    polish_iters: int = 2000  # a cap; an exact fit or a vanishing step ends it
 
 
 def _khatri_rao(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -77,6 +77,14 @@ def _cp_jacobian(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
     return np.hstack([blk.reshape(d1 * d2 * d3, -1) for blk in blocks])
 
 
+def _cp_gradient(R: np.ndarray, A, B, C):
+    """J^T R.ravel() as its blocks for A, B and C, J = ``_cp_jacobian``."""
+    d1, d2, d3 = R.shape
+    return (R.reshape(d1, -1) @ _khatri_rao(B, C),
+            R.transpose(1, 0, 2).reshape(d2, -1) @ _khatri_rao(A, C),
+            R.transpose(2, 0, 1).reshape(d3, -1) @ _khatri_rao(A, B))
+
+
 def _cp_lm_step(R: np.ndarray, A, B, C, lam: float) -> np.ndarray:
     """The solution s of (J^T J + lam I) s = J^T R.ravel(), J the Jacobian
     ``_cp_jacobian(A, B, C)``, without forming J or J^T J (Tomasi & Bro,
@@ -87,9 +95,7 @@ def _cp_lm_step(R: np.ndarray, A, B, C, lam: float) -> np.ndarray:
     C-B blocks V[p, j, l] B[q, j]: (d1 + d3) r unknowns are left."""
     (d1, d2, d3), r = R.shape, A.shape[1]
     GA, GB, GC = A.T @ A, B.T @ B, C.T @ C
-    gA = R.reshape(d1, -1) @ _khatri_rao(B, C)
-    gB = R.transpose(1, 0, 2).reshape(d2, -1) @ _khatri_rao(A, C)
-    gC = R.transpose(2, 0, 1).reshape(d3, -1) @ _khatri_rao(A, B)
+    gA, gB, gC = _cp_gradient(R, A, B, C)
     damp = lam * np.eye(r)
     K = np.linalg.inv(GA * GC + damp)
     V = np.concatenate([A[:, None] * GC, C[:, None] * GA])
@@ -109,11 +115,19 @@ def _cp_lm_step(R: np.ndarray, A, B, C, lam: float) -> np.ndarray:
 
 def _cp_lm_polish(X: np.ndarray, A, B, C, iters: int):
     """Levenberg-Marquardt on all factor entries; ALS alone crawls through
-    swamps near tight decompositions, LM converges quadratically.  It runs
-    until its step stalls, for at most ``iters`` steps: a planted tensor
-    can take thousands of slow steps to its exact fit."""
+    swamps near tight decompositions.  The damping mu follows the gain ratio
+    rho of the actual to the predicted decrease of |X - model|^2 (Madsen,
+    Nielsen & Tingleff, DTU 2004): it starts at 1e-3 times the largest
+    diagonal entry of J^T J, on factors rescaled to equal column norms in
+    every term, and is scaled by max(1/3, 1 - (2 rho - 1)^3) after a step
+    with rho > 0 and by 2, 4, 8, ... over a run of rejected steps.  It stops
+    on an exact fit, on a vanishing step, or after ``iters`` steps."""
     (d1, d2, _), r = X.shape, A.shape[1]
-    x = np.concatenate([A.ravel(), B.ravel(), C.ravel()])
+    norms = np.array([np.linalg.norm(F, axis=0) for F in (A, B, C)])
+    k = np.cbrt(norms.prod(axis=0))  # a term with a zero factor stays as it is
+    scale = np.divide(k, norms, out=np.ones_like(norms), where=k > 0)
+    sq = (norms * scale) ** 2  # diag(J^T J) holds sq_b sq_c for A and so on
+    mu, nu = 1e-3 * np.max(sq * np.roll(sq, 1, axis=0)), 2.0
 
     def split(x):
         return [f.reshape(-1, r) for f in np.split(x, [d1 * r, (d1 + d2) * r])]
@@ -121,28 +135,28 @@ def _cp_lm_polish(X: np.ndarray, A, B, C, iters: int):
     def residual(x):
         return X - np.einsum("ij,aj,kj->iak", *split(x))
 
+    x = np.concatenate([(F * f).ravel() for F, f in zip((A, B, C), scale)])
     res = residual(x)
-    cost, lam = np.linalg.norm(res), 1e-4
-    for it in range(iters):
-        if it % 100 == 0:  # the step stalls: 100 steps gain less than 0.1%
-            if it and cost > 0.999 * mark:
-                break
-            mark = cost
+    cost = np.vdot(res, res)
+    for _ in range(iters):
+        g = np.concatenate([v.ravel() for v in _cp_gradient(res, *split(x))])
         try:
-            xn = x + _cp_lm_step(res, *split(x), lam)
+            s = _cp_lm_step(res, *split(x), mu)
         except np.linalg.LinAlgError:
             break
-        resn = residual(xn)
-        costn = np.linalg.norm(resn)
-        if costn < cost:
-            x, res, cost = xn, resn, costn
-            lam = max(lam / 3, 1e-14)
-            if cost < 1e-14 * max(1.0, np.linalg.norm(X)):
+        if np.linalg.norm(s) <= 1e-12 * np.linalg.norm(x):
+            break
+        resn = residual(x + s)
+        costn = np.vdot(resn, resn)
+        # gradient form: |res|^2 - |res - J s|^2 is 0/0 near an exact fit
+        rho = (cost - costn) / (s @ (mu * s + g))
+        if rho > 0:
+            x, res, cost = x + s, resn, costn
+            if cost <= 1e-28 * np.vdot(X, X):
                 break
+            mu, nu = mu * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
         else:
-            lam *= 10
-            if lam > 1e10:
-                break
+            mu, nu = mu * nu, nu * 2
     return split(x)
 
 
@@ -157,14 +171,14 @@ def als_fit(T: Tensor3, r: int, budget: AlsBudget | None = None,
         raise ValueError("rank must be positive")
     budget = budget or AlsBudget()
     rng = np.random.default_rng(seed)
-    X = np.transpose(T.data, (1, 2, 0))  # (d1, d2, d3)
+    norm = np.linalg.norm(T.data)
+    if norm == 0:
+        return 0.0
+    X = np.transpose(T.data, (1, 2, 0)) / norm  # (d1, d2, d3), unit norm
     d1, d2, d3 = X.shape
     X1 = X.reshape(d1, d2 * d3)                      # = A (B kr C)^T
     X2 = np.transpose(X, (1, 0, 2)).reshape(d2, -1)  # = B (A kr C)^T
     X3 = np.transpose(X, (2, 0, 1)).reshape(d3, -1)  # = C (A kr B)^T
-    norm = np.linalg.norm(X)
-    if norm == 0:
-        return 0.0
     def svd_init(unfolding, dim):
         U = np.linalg.svd(unfolding, full_matrices=False)[0][:, :r]
         if U.shape[1] < r:
@@ -172,7 +186,7 @@ def als_fit(T: Tensor3, r: int, budget: AlsBudget | None = None,
         return U
 
     def residual(A, B, C):
-        return np.linalg.norm(X1 - A @ _khatri_rao(B, C).T) / norm
+        return np.linalg.norm(X1 - A @ _khatri_rao(B, C).T)
 
     best = np.inf
     for restart in range(budget.restarts):
@@ -182,33 +196,16 @@ def als_fit(T: Tensor3, r: int, budget: AlsBudget | None = None,
             A = rng.standard_normal((d1, r))
             B = rng.standard_normal((d2, r))
             C = rng.standard_normal((d3, r))
-        start = (A, B, C)
         prev = np.inf
-        for sweep in range(budget.sweeps):
-            Ao, Bo, Co = A, B, C
+        for _ in range(budget.sweeps):
             A = np.linalg.lstsq(_khatri_rao(B, C), X1.T, rcond=None)[0].T
             B = np.linalg.lstsq(_khatri_rao(A, C), X2.T, rcond=None)[0].T
             C = np.linalg.lstsq(_khatri_rao(A, B), X3.T, rcond=None)[0].T
             res = residual(A, B, C)
-            if sweep >= 2:
-                # extrapolation along the sweep direction breaks ALS swamps
-                step = (sweep + 1) ** (1.0 / 3.0)
-                Ae = Ao + step * (A - Ao)
-                Be = Bo + step * (B - Bo)
-                Ce = Co + step * (C - Co)
-                res_e = residual(Ae, Be, Ce)
-                if res_e < res:
-                    A, B, C, res = Ae, Be, Ce, res_e
             if prev - res < budget.stall_tol:
                 break
             prev = res
-        if budget.polish_iters:
-            Ap, Bp, Cp = _cp_lm_polish(X, A, B, C, budget.polish_iters)
-            res = min(res, residual(Ap, Bp, Cp))
-            if res > 1e-8 and restart > 0:
-                # the sweep basin was bad; polish the raw start as well
-                Ap, Bp, Cp = _cp_lm_polish(X, *start, budget.polish_iters)
-                res = min(res, residual(Ap, Bp, Cp))
+        res = residual(*_cp_lm_polish(X, A, B, C, budget.polish_iters))
         best = min(best, res)
         if best < 1e-14:
             break
@@ -256,6 +253,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("sample count must be >= 1")
+        ProblemDims(self.m, self.n, self.p)  # inside the certifiable window
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":

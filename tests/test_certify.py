@@ -348,7 +348,8 @@ class TestCertify:
 
     def test_weak_margin_budget_does_not_overrule_a_witness(self):
         # 4x11x4: the margin from starting points alone is far above
-        # tolerance, yet the multistart search finds a rank-11 witness
+        # tolerance, yet the sliced two-parameter search finds a rank-11
+        # witness
         T = Tensor3(np.random.default_rng(0).standard_normal((4, 4, 11)))
         verdict = certify(T, CertifyBudget(margin_iters=0), seed=0)
         assert isinstance(verdict, RankP)

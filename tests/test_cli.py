@@ -224,6 +224,13 @@ class TestExperimentCommand:
         code, _, err = invoke(capsys, "experiment", str(path))
         assert code == 2
 
+    def test_shape_outside_the_window_is_a_bad_config(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"n": 2, "p": 10, "m": 2, "samples": 1}')
+        code, _, err = invoke(capsys, "experiment", str(path))
+        assert code == 2
+        assert err.startswith("error: bad config")
+
 
 class TestUsage:
     def test_unknown_flag(self, capsys):
