@@ -59,16 +59,23 @@ class TrankResult:
 _TABLE_CACHE: dict[int, HashBoundsTable] = {}
 
 
-def _table_for(n: int, p: int,
-               bounds: HashBoundsTable | None) -> HashBoundsTable:
+def _table_for(n: int, bounds: HashBoundsTable | None) -> HashBoundsTable:
     """The caller's table when it covers n, else the cached default table
-    covering the largest dimension p.  Larger tables pin m#n tighter, so
-    the library and the ``trank`` command share this one default."""
+    over dimensions up to 2n - 1.
+
+    A larger table gives the same interval for m#n with m <= n.  Every
+    upper bound at (m, n) is at most m+n-1 <= 2n-1, and an upper bound v
+    comes only from entries whose dimensions are at most v: restriction
+    copies v from an entry whose upper bound is at least its larger
+    dimension, convolution builds v from smaller entries, and the constant
+    rules depend on no entry.  Lower bounds at (m, n) flow only from
+    entries <= (m, n)."""
     if bounds is not None and bounds.max_dim >= n:
         return bounds
-    if p not in _TABLE_CACHE:
-        _TABLE_CACHE[p] = build_bounds_table(p)
-    return _TABLE_CACHE[p]
+    size = 2 * n - 1
+    if size not in _TABLE_CACHE:
+        _TABLE_CACHE[size] = build_bounds_table(size)
+    return _TABLE_CACHE[size]
 
 
 def _window_result(m: int, n: int, p: int, table: HashBoundsTable,
@@ -98,8 +105,11 @@ def classify(m: int, n: int, p: int,
 
     Arguments are sorted internally (typical ranks are invariant under
     permuting the three dimensions).  ``bounds`` may supply a prebuilt
-    m#n table, used when it covers the middle dimension; otherwise one
-    covering the largest dimension is built and cached.
+    m#n table, used when it covers the middle dimension n; otherwise one
+    over dimensions up to 2n - 1 is built and cached.  That is exact, not
+    a shortcut: every bound the closure can put on m#n is at most
+    m+n-1 <= 2n-1 and derives only from entries no larger than itself, so
+    a table built to p > 2n-1 pins m#n to the same interval.
     """
     if m < 1 or n < 1 or p < 1:
         raise ValueError("dimensions must be positive")
@@ -118,7 +128,7 @@ def classify(m: int, n: int, p: int,
     if p > (m - 1) * n:
         return TrankResult(kind="exact", ranks=(min(p, m * n),),
                            provenance="unbalanced regime min(p, mn)")
-    table = _table_for(n, p, bounds)
+    table = _table_for(n, bounds)
     corner = (m - 1) * (n - 1) + 1
     if p == (m - 1) * n:
         return _window_result(m, n, p, table,

@@ -5,7 +5,6 @@ reports for the certifier."""
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -247,7 +246,7 @@ class ExperimentConfig:
     certify_budget: CertifyBudget = field(default_factory=CertifyBudget)
     csv_path: str | None = None
     json_path: str | None = None
-    threads: int = 1
+    threads: int = 1  # ignored; goes with ROADMAP item 8's benchmark
     include_timings: bool = True
 
     def __post_init__(self):
@@ -338,21 +337,10 @@ def _run_one(cfg: ExperimentConfig, idx: int) -> SampleRow:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Certify ``cfg.samples`` random tensors and aggregate verdict
-    frequencies; deterministic for a fixed (config, seed) regardless of the
-    thread count."""
-    threads = cfg.threads
-    env_cap = os.environ.get("RANKATLAS_THREADS")
-    if env_cap:
-        threads = max(1, min(threads, int(env_cap)))
-    indices = range(cfg.samples)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda i: _run_one(cfg, i), indices))
-    else:
-        rows = [_run_one(cfg, i) for i in indices]
-    rows.sort(key=lambda r: r.sample_id)
+    """Certify ``cfg.samples`` random tensors, in order in the calling
+    thread, and aggregate verdict frequencies; deterministic for a fixed
+    (config, seed)."""
+    rows = [_run_one(cfg, i) for i in range(cfg.samples)]
     counts: dict[str, int] = {}
     for row in rows:
         counts[row.verdict] = counts.get(row.verdict, 0) + 1

@@ -1,3 +1,5 @@
+import dataclasses
+import importlib
 import itertools
 
 import numpy as np
@@ -119,3 +121,30 @@ def test_describe_readable():
     assert "{5, 6}" in text
     text = classify(3, 3, 7).describe()
     assert "{7}" in text
+
+
+class TestDefaultTable:
+    def test_table_to_2n_minus_1_matches_table_to_p(self):
+        # a table over dimensions up to 2n - 1 pins m#n as tightly as one
+        # up to p, on both sides of 2n - 1
+        tables = {d: build_bounds_table(d) for d in range(3, 43)}
+        for n in range(3, 8):
+            for m in range(3, n + 1):
+                for p in range(n, (m - 1) * n + 1):
+                    wide = classify(m, n, p, tables[p])
+                    narrow = classify(m, n, p, tables[2 * n - 1])
+                    assert (dataclasses.asdict(wide)
+                            == dataclasses.asdict(narrow)), (m, n, p)
+
+    def test_default_table_does_not_grow_with_p(self, monkeypatch):
+        module = importlib.import_module("rankatlas.classify")
+        sizes = []
+
+        def recording_build(max_dim):
+            sizes.append(max_dim)
+            return build_bounds_table(max_dim)
+
+        monkeypatch.setattr(module, "_TABLE_CACHE", {})
+        monkeypatch.setattr(module, "build_bounds_table", recording_build)
+        assert classify(16, 16, 230).ranks == (230, 231)
+        assert sizes and max(sizes) <= 31

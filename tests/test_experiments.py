@@ -174,13 +174,6 @@ class TestRunExperiment:
                                     include_timings=False, threads=3)
         assert run_experiment(base).to_csv() == run_experiment(threaded).to_csv()
 
-    def test_env_caps_threads(self, monkeypatch):
-        monkeypatch.setenv("RANKATLAS_THREADS", "1")
-        cfg = ExperimentConfig(n=3, p=6, m=3, samples=3, seed=1,
-                               include_timings=False, threads=8)
-        report = run_experiment(cfg)
-        assert len(report.rows) == 3
-
     def test_als_columns_filled_when_enabled(self):
         cfg = ExperimentConfig(n=3, p=6, m=3, samples=2, seed=2,
                                run_als=True, als_restarts=2, als_sweeps=120,

@@ -50,13 +50,18 @@ def test_certify_paths_never_import_scipy():
 
 
 def test_import_leaves_the_thread_pool_unloaded():
-    # run_experiment imports concurrent.futures only for threads > 1
+    # run_experiment runs every sample in the calling thread, whatever
+    # ExperimentConfig.threads says, so no pool is imported or started
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
-    script = ("import sys, rankatlas, rankatlas.cli; "
-              "print('concurrent.futures' in sys.modules)")
+    script = ("import sys, threading, rankatlas, rankatlas.cli; "
+              "from rankatlas import ExperimentConfig, run_experiment; "
+              "run_experiment(ExperimentConfig(n=3, p=6, m=3, samples=2, "
+              "threads=2)); "
+              "print('concurrent.futures' in sys.modules); "
+              "print(threading.active_count())")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    assert proc.stdout.split() == ["False", "1"]
