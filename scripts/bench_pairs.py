@@ -9,9 +9,9 @@ so that a drift of the host's speed does not favour one side.  Each run's
 record lands under that checkout's ``perfbench/out/``.  Per pair it prints
 the passes, ``failed``/``attempted`` and digest of each side and its
 end-to-end metrics.  At the end, for every end-to-end metric of
-``BENCHMARK.json``, it prints each side's median and quartiles and the
-number of pairs the change wins in the metric's ``better`` direction; a
-tie counts for neither side.
+``BENCHMARK.json``, it prints each side's median and quartiles next to
+that side's median pass count, and the number of pairs the change wins in
+the metric's ``better`` direction; a tie counts for neither side.
 """
 
 import argparse
@@ -78,6 +78,10 @@ def main(argv=None):
         sys.stdout.flush()
 
     print(f"{args.workload}: {len(pairs)} pairs")
+    # a metric that moves with the pass count (peak_rss_mb does) is read
+    # against it
+    passes = {side: statistics.median(pair[side]["passes"] for pair in pairs)
+              for side in SIDES}
     for m in metrics:
         name, sign = m["name"], 1 if m["better"] == "higher" else -1
         values = {side: [pair[side]["metrics"][name]["value"]
@@ -85,7 +89,7 @@ def main(argv=None):
         for side in SIDES:
             q1, med, q3 = quartiles(values[side])
             print(f"  {name:14s} {side:6s} median {med:10.6g}  quartiles "
-                  f"[{q1:.6g}, {q3:.6g}]")
+                  f"[{q1:.6g}, {q3:.6g}]  median passes {passes[side]:g}")
         gains = [sign * (c - p)
                  for p, c in zip(values["parent"], values["change"])]
         wins, losses = sum(g > 0 for g in gains), sum(g < 0 for g in gains)

@@ -16,7 +16,6 @@ from .pencil import (
     ProblemDims,
     RankDropPoint,
     RootCount,
-    SearchBudget,
     Tensor3,
     afcr_margin,
     contract_pencil,

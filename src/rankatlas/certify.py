@@ -25,7 +25,6 @@ from .pencil import (
     MarginBudget,
     ProblemDims,
     RootCount,
-    SearchBudget,
     Tensor3,
     _binary_scaled,
     _kernel_points,
@@ -57,11 +56,26 @@ __all__ = [
 ]
 
 
+# Fixed gates, so that no budget can loosen what a verdict means
+COND_LIMIT = 1e12     # condition number of the blocks sigma and nu invert
+COND_LIMIT_N = 1e10   # condition number of the certificate's N
+RESIDUAL_TOL = 1e-6   # pencil, matrix-equation and reconstruction residuals
+TOL_MARGIN = 1e-6     # best-found margin that gives rank > p
+SPAN_RTOL = 1e-8      # relative threshold of the phi-column rank
+
+
 class NotInVError(ValueError):
     """Leading p x p block of the mode-2 flattening is (numerically) singular."""
 
 
-def sigma(T: Tensor3, cond_limit: float = 1e12) -> np.ndarray:
+def _require_ints(obj, names) -> None:
+    """TypeError unless each named field of ``obj`` is an int, not a bool."""
+    for name in names:
+        if type(getattr(obj, name)) is not int:
+            raise TypeError(f"{name} must be an int: {getattr(obj, name)!r}")
+
+
+def sigma(T: Tensor3) -> np.ndarray:
     """Normal form of T: last u rows of the mode-2 flattening times the
     inverse of its leading p x p block."""
     n, p, m = T.d1, T.d2, T.d3
@@ -69,9 +83,9 @@ def sigma(T: Tensor3, cond_limit: float = 1e12) -> np.ndarray:
     if F.shape[0] < p:
         raise NotInVError(f"tensor {n}x{p}x{m} has nm < p")
     top = F[:p, :]
-    if np.linalg.cond(top) > cond_limit:
+    if np.linalg.cond(top) > COND_LIMIT:
         raise NotInVError(
-            f"leading {p}x{p} block has condition number above {cond_limit:g}")
+            f"leading {p}x{p} block has condition number above {COND_LIMIT:g}")
     return F[p:, :] @ np.linalg.inv(top)
 
 
@@ -93,14 +107,14 @@ def iota_tensor(A: np.ndarray, n: int, m: int) -> Tensor3:
     return Tensor3(np.stack([W[:, k * n:(k + 1) * n] for k in range(m)]))
 
 
-def nu(Y: Tensor3, cond_limit: float = 1e12) -> np.ndarray:
+def nu(Y: Tensor3) -> np.ndarray:
     """Inverse normal form on pencils: -(trailing u x u block)^-1 times the
     leading p columns of the mode-1 flattening."""
     u, n, m = Y.d1, Y.d2, Y.d3
     p = n * m - u
     F = flatten(Y, 1)  # u x (n m)
     trailing = F[:, p:]
-    if np.linalg.cond(trailing) > cond_limit:
+    if np.linalg.cond(trailing) > COND_LIMIT:
         raise ValueError("trailing block of the mode-1 flattening is singular")
     return -np.linalg.solve(trailing, F[:, :p])
 
@@ -119,7 +133,7 @@ def phi(a, b, dims: ProblemDims) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def span_dimension_U(points, dims: ProblemDims, rtol: float = 1e-8) -> int:
+def span_dimension_U(points, dims: ProblemDims) -> int:
     """Numerical rank of the matrix whose columns are phi(d_j, b_j)."""
     cols = [phi(d, b, dims) for d, b in points]
     if not cols:
@@ -127,22 +141,20 @@ def span_dimension_U(points, dims: ProblemDims, rtol: float = 1e-8) -> int:
     s = np.linalg.svd(np.column_stack(cols), compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return 0
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > SPAN_RTOL * s[0]))
 
 
 @dataclass(frozen=True)
 class CertifyBudget:
     margin_restarts: int = 40
     margin_iters: int = 60
-    search_lines: int = 40
     search_restarts: int = 300
     search_rounds: int = 5  # unused; goes with ROADMAP item 8's benchmark
     tol_rankdrop: float = 1e-8
-    tol_margin: float = 1e-6
-    cond_limit_N: float = 1e10
-    residual_tol: float = 1e-6
 
     def __post_init__(self):
+        _require_ints(self, ("margin_restarts", "margin_iters",
+                             "search_restarts", "search_rounds"))
         if self.search_rounds < 1 or self.margin_restarts < 1:
             raise ValueError("budget must allow at least one round")
 
@@ -219,12 +231,7 @@ class Inconclusive:
 Verdict = Union[RankP, RankExceedsP, Inconclusive]
 
 
-def _problem_dims(T: Tensor3) -> ProblemDims:
-    n, p, m = T.d1, T.d2, T.d3
-    return ProblemDims(m=m, n=n, p=p)
-
-
-def _select_independent(candidates, p, rtol=1e-8):
+def _select_independent(candidates, p):
     """Pick up to p well-conditioned phi columns by column-pivoted
     Gram-Schmidt: each step takes the column of largest residual norm.
 
@@ -238,7 +245,7 @@ def _select_independent(candidates, p, rtol=1e-8):
         norms = np.linalg.norm(res, axis=0)
         norms[piv] = -1.0
         j = int(np.argmax(norms))
-        if not norms[j] > rtol * first:
+        if not norms[j] > SPAN_RTOL * first:
             break
         first = first or norms[j]
         q = res[:, j] / norms[j]
@@ -247,7 +254,7 @@ def _select_independent(candidates, p, rtol=1e-8):
     return len(piv), [candidates[j][1] for j in piv[:p]]
 
 
-def _collect_certificate(T, W, dims, budget, found, diagnostics):
+def _collect_certificate(T, W, dims, found, diagnostics):
     """The rank-drop points ``found`` assembled into a certificate when
     their phi images span R^p and every check passes, or None."""
     if not found:
@@ -267,7 +274,7 @@ def _collect_certificate(T, W, dims, budget, found, diagnostics):
     N = np.vstack(blocks)
     condN = np.linalg.cond(N)
     diagnostics["cond_N"] = float(condN)
-    if not condN <= budget.cond_limit_N:
+    if not condN <= COND_LIMIT_N:
         return None
     Q = np.linalg.inv(N)
 
@@ -277,14 +284,14 @@ def _collect_certificate(T, W, dims, budget, found, diagnostics):
         sum(W.slice(k) @ A @ np.diag(D[:, k]) for k in range(m))))
     diagnostics["pencil_residual"] = pencil_res
     diagnostics["matrix_eq_residual"] = eq_res
-    if not max(pencil_res, eq_res) <= budget.residual_tol:
+    if not max(pencil_res, eq_res) <= RESIDUAL_TOL:
         return None
 
     top = flatten(T, 2)[:p, :]
     That = np.stack([A @ np.diag(D[:, k]) @ Q @ top for k in range(m)])
     residual = float(np.linalg.norm(That - T.data) / np.linalg.norm(T.data))
     diagnostics["residual"] = residual
-    if not residual <= budget.residual_tol:
+    if not residual <= RESIDUAL_TOL:
         return None
     return RankCertificate(
         dims=dims, points=chosen, A=A, D=D, N=N, Q=Q,
@@ -329,11 +336,11 @@ def certify(T: Tensor3, budget: CertifyBudget | None = None,
     means full column rank of W on the whole sphere, so a found point
     (sigma_n / sigma_1 below ``tol_rankdrop``) rules it out and the verdict
     is Inconclusive.  Only a search that finds no point runs the margin
-    descent, whose best-found value above ``tol_margin`` gives rank > p.
+    descent, whose best-found value above ``TOL_MARGIN`` gives rank > p.
     """
     budget = budget or CertifyBudget()
     rng = np.random.default_rng(seed)
-    dims = _problem_dims(T)
+    dims = ProblemDims(m=T.d3, n=T.d1, p=T.d2)
     T = _binary_scaled(T)[0]
     W = iota_tensor(sigma(T), dims.n, dims.m)
 
@@ -348,13 +355,13 @@ def certify(T: Tensor3, budget: CertifyBudget | None = None,
             diagnostics["roots_found"] = roots.roots_found
             diagnostics["roots_real"] = roots.roots_real
     if roots is None:
-        found = rank_drop_search(W, dims, SearchBudget(
-            restarts=budget.search_restarts, lines=budget.search_lines,
-            tol=budget.tol_rankdrop), seed=rng)
+        found = rank_drop_search(W, dims, seed=rng,
+                                 restarts=budget.search_restarts,
+                                 tol=budget.tol_rankdrop)
     else:  # the certified real roots are every real rank-drop point
         real = roots.count.roots[roots.count.real].real
         found = _kernel_points(W, real, budget.tol_rankdrop)
-    cert = _collect_certificate(T, W, dims, budget, found, diagnostics)
+    cert = _collect_certificate(T, W, dims, found, diagnostics)
     if cert is not None:
         return RankP(certificate=cert, diagnostics=diagnostics)
     if roots is not None and roots.roots_real < dims.p:
@@ -367,7 +374,7 @@ def certify(T: Tensor3, budget: CertifyBudget | None = None,
     margin = afcr_margin_info(W.scaled(1.0 / W.norm()), margin_budget,
                               seed=rng).value
     diagnostics["margin"] = margin
-    if margin > budget.tol_margin:
+    if margin > TOL_MARGIN:
         return RankExceedsP(margin=margin)
     return Inconclusive(diagnostics=diagnostics)
 

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 Inconclusive under --strict, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -158,9 +159,7 @@ def _cmd_experiment(args) -> int:
     except (OSError, ValueError, TypeError, KeyError) as exc:
         return _fail(f"bad config {args.config}: {exc}")
     if args.seed is not None:
-        payload = json.loads(cfg.to_json())
-        payload["seed"] = args.seed
-        cfg = ExperimentConfig.from_json(json.dumps(payload))
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     report = run_experiment(cfg)
     print(report.to_json())
     return 0

@@ -10,7 +10,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .certify import CertifyBudget, NotInVError, RankExceedsP, RankP, certify
+from .certify import (CertifyBudget, NotInVError, RankExceedsP, RankP,
+                      _require_ints, certify)
 from .classify import classify
 from .pencil import ProblemDims, Tensor3
 
@@ -28,12 +29,14 @@ __all__ = [
 
 CSV_COLUMNS = ("sample_id", "verdict", "cert_residual", "als_p", "als_p1",
                "points_found", "span_dim", "wall_ms")
+MAX_TRIES = 64      # draws before sample_gaussian_tensor gives up
+STALL_TOL = 1e-12   # ALS residual decrease that ends the sweeps
+RANK_RTOL = 1e-8    # relative singular-value threshold of the Terracini rank
 
 
 def sample_gaussian_tensor(dims: tuple[int, int, int],
                            rng: np.random.Generator,
-                           require_v: bool = False,
-                           max_tries: int = 64) -> Tensor3:
+                           require_v: bool = False) -> Tensor3:
     """iid standard normal d1 x d2 x d3 tensor.
 
     With ``require_v`` the leading d2 x d2 block of the mode-2 flattening is
@@ -41,7 +44,7 @@ def sample_gaussian_tensor(dims: tuple[int, int, int],
     failures).
     """
     d1, d2, d3 = dims
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         T = Tensor3(rng.standard_normal((d3, d1, d2)))
         if not require_v:
             return T
@@ -55,7 +58,6 @@ def sample_gaussian_tensor(dims: tuple[int, int, int],
 class AlsBudget:
     restarts: int = 5
     sweeps: int = 500
-    stall_tol: float = 1e-12
     polish_iters: int = 2000  # a cap; an exact fit or a vanishing step ends it
 
 
@@ -201,7 +203,7 @@ def als_fit(T: Tensor3, r: int, budget: AlsBudget | None = None,
             B = np.linalg.lstsq(_khatri_rao(A, C), X2.T, rcond=None)[0].T
             C = np.linalg.lstsq(_khatri_rao(A, B), X3.T, rcond=None)[0].T
             res = residual(A, B, C)
-            if prev - res < budget.stall_tol:
+            if prev - res < STALL_TOL:
                 break
             prev = res
         res = residual(*_cp_lm_polish(X, A, B, C, budget.polish_iters))
@@ -212,10 +214,9 @@ def als_fit(T: Tensor3, r: int, budget: AlsBudget | None = None,
 
 
 def terracini_generic_rank(m: int, n: int, p: int,
-                           seed: int | np.random.Generator = 0,
-                           rtol: float = 1e-8) -> int:
+                           seed: int | np.random.Generator = 0) -> int:
     """Smallest r whose rank-r tangent space at a random point fills the
-    whole m*n*p space (numerical rank with relative threshold ``rtol``)."""
+    whole m*n*p space (numerical rank with relative threshold RANK_RTOL)."""
     if min(m, n, p) < 1:
         raise ValueError("dimensions must be positive")
     rng = np.random.default_rng(seed)
@@ -225,7 +226,7 @@ def terracini_generic_rank(m: int, n: int, p: int,
         terms = [[rng.standard_normal(d) for d in (m, n, p)] for _ in range(r)]
         A, B, C = (np.column_stack(f) for f in zip(*terms))
         sv = np.linalg.svd(_cp_jacobian(A, B, C), compute_uv=False)
-        rank = int(np.sum(sv > rtol * sv[0]))
+        rank = int(np.sum(sv > RANK_RTOL * sv[0]))
         if rank == full:
             return r
     return full
@@ -250,6 +251,8 @@ class ExperimentConfig:
     include_timings: bool = True
 
     def __post_init__(self):
+        _require_ints(self, ("n", "p", "m", "samples", "seed", "als_restarts",
+                             "als_sweeps"))
         if self.samples < 1:
             raise ValueError("sample count must be >= 1")
         ProblemDims(self.m, self.n, self.p)  # inside the certifiable window

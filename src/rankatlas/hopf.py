@@ -243,14 +243,23 @@ def build_bounds_table(max_dim: int) -> HashBoundsTable:
 
     Seeds: the Stiefel-Hopf lower bound circ(m, n), the trivial upper bound
     m+n-1, Hurwitz-Radon upper bounds m # rho(m) <= m, the Adams lower bound
-    m # (rho(m)+1) > m, bit-disjointness (equality and its converse defect),
-    and the classical diagonal bounds.  The rules with constant values (the
+    m # (rho(m)+1) > m and the bit-overlap defect m # n <= m+n-2 when m-1
+    and n-1 share a 1-bit.  The rules with constant values (the
     scaled-hypercomplex rule, Cohen, Milgram and the tau-corrected
     construction family) are applied once; the closure then iterates the
     convolution composite rule, monotone restriction and symmetry until no
     interval changes.
     Survey-sourced diagonal lower bounds are applied last under a
     contradiction guard.
+
+    Three classical rules are implied, so they have no code.  H(m, n, N)
+    says (x+y)^N = 0 in F2[x, y]/(x^m, y^n): it holds exactly for
+    N >= circ(m, n), and fails when some C(N, k), N-n < k < m, is odd.
+    Bit-disjoint m-1, n-1 (m # n = m+n-1): C(m+n-2, m-1) is odd by Lucas,
+    so circ(m, n) = m+n-1.  Levine at n = 2^a+1 (n # n >= 2n-2): every
+    C(2^(a+1)-1, k) is odd and C(2^(a+1), 2^a) is even, so circ(n, n) =
+    2^(a+1) = 2n-2.  (n+1) # (n + tau(2n, n)) <= 2n is the tau family at
+    d = 1, h = n, k = 2n.
     """
     if max_dim < 2:
         raise ValueError("build_bounds_table requires max_dim >= 2")
@@ -271,18 +280,10 @@ def build_bounds_table(max_dim: int) -> HashBoundsTable:
             table._improve_upper(n, r, n, "hurwitz-radon")
         if r + 1 <= D:
             table._improve_lower(n, r + 1, n + 1, "adams")
-    for m in range(1, D + 1):
+    for m in range(2, D + 1):
         for n in range(m, D + 1):
-            if bit_disjoint(m - 1, n - 1):
-                table._improve_lower(m, n, m + n - 1, "bit-disjoint")
-            elif m > 1:
+            if not bit_disjoint(m - 1, n - 1):
                 table._improve_upper(m, n, m + n - 2, "bit-overlap")
-    # diagonal equality at n = 2^a + 1, a >= 2 (small cases follow elsewhere)
-    a = 2
-    while 2**a + 1 <= D:
-        n = 2**a + 1
-        table._improve_lower(n, n, 2 * n - 2, "levine")
-        a += 1
 
     # constant rules, applied once: bounds only tighten, so applying one
     # again could only repeat a rejection
@@ -309,11 +310,6 @@ def build_bounds_table(max_dim: int) -> HashBoundsTable:
                 second = d * (k - h) + tau(k, h)
                 if first <= D and second <= D:
                     table._improve_upper(first, second, d * k, "lam")
-    # (n+1) # (n + tau(2n, n)) <= 2n
-    for n in range(1, D):
-        second = n + tau(2 * n, n)
-        if n + 1 <= D and second <= D:
-            table._improve_upper(n + 1, second, 2 * n, "lam-tau2n")
 
     def run_dynamic_round() -> bool:
         changed = False

@@ -21,7 +21,6 @@ __all__ = [
     "Tensor3",
     "ProblemDims",
     "MarginBudget",
-    "SearchBudget",
     "RankDropPoint",
     "RootCount",
     "PointRegularity",
@@ -315,8 +314,10 @@ def kernel_vector_psi(a, Y: Tensor3, rows) -> np.ndarray:
 # -- rank-drop search ---------------------------------------------------------
 
 
+LINES = 40  # square-pencil lines probed by one rank-drop search
 MARGIN_PROBE_LINES = 30  # square-pencil lines probed for margin candidates
 SLICES = 8  # random 3-dim slices per search of an (n+1) x n, m > 3 pencil
+DEDUP_TOL = 1e-6  # distance below which two unit points are one
 
 
 @dataclass(frozen=True)
@@ -327,14 +328,6 @@ class MarginBudget:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("margin budget needs at least one restart")
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    restarts: int = 300      # multistart path (m > 3 and u > n + 1)
-    lines: int = 20          # square-pencil probe lines
-    tol: float = 1e-8        # sigma_n/sigma_1 declaring rank deficiency
-    dedup_tol: float = 1e-6  # projective identification threshold
 
 
 @dataclass(frozen=True)
@@ -681,9 +674,9 @@ def _structured_roots(Y: Tensor3, rng, lines: int, tol: float):
     return None
 
 
-def _dedup_points(points: np.ndarray, dedup_tol: float) -> list:
+def _dedup_points(points: np.ndarray) -> list:
     """Canonically signed rows of ``points`` without those closer than
-    ``dedup_tol`` to an earlier kept one, sorted by their coordinates
+    ``DEDUP_TOL`` to an earlier kept one, sorted by their coordinates
     rounded to 9 digits.  One row of the distance array is computed per kept
     point, which keeps memory linear in the number of points."""
     P = _canonical_sign(points)
@@ -691,37 +684,37 @@ def _dedup_points(points: np.ndarray, dedup_tol: float) -> list:
     for i in range(len(P)):
         if keep[i]:
             keep[i + 1:] &= ~(np.linalg.norm(P[i + 1:] - P[i], axis=1)
-                              < dedup_tol)
+                              < DEDUP_TOL)
     uniq = P[keep]
     return list(uniq[np.lexsort(np.round(uniq, 9).T[::-1])])
 
 
 def rank_drop_search(Y: Tensor3, dims: ProblemDims | None = None,
-                     budget: SearchBudget | None = None,
-                     seed: int | np.random.Generator = 0
+                     seed: int | np.random.Generator = 0, *,
+                     restarts: int = 300, tol: float = 1e-8
                      ) -> list[RankDropPoint]:
-    """Hunt for unit vectors a with sigma_n(M(a, Y)) below tolerance.
+    """Hunt for unit vectors a with sigma_n / sigma_1 of M(a, Y) below
+    ``tol``.
 
     Square pencils (u == n) are handled by real generalized eigenvalues on
-    random lines; 3-slice rectangular pencils by the complete two-parameter
-    eigenvalue reduction; (n+1) x n pencils with m > 3 slices, whose locus
-    has codimension 2, by that reduction on SLICES random real 3-dim
-    slices; anything else by batched Gauss-Newton on M(a, Y) b = 0 from
-    random starts.  One point is returned per kernel basis vector.  An
-    empty result means the search failed, not that no points exist: a real
-    curve of the locus can miss a real slice.
+    LINES random lines; 3-slice rectangular pencils by the complete
+    two-parameter eigenvalue reduction; (n+1) x n pencils with m > 3
+    slices, whose locus has codimension 2, by that reduction on SLICES
+    random real 3-dim slices; anything else by batched Gauss-Newton on
+    M(a, Y) b = 0 from ``restarts`` random starts.  One point is returned
+    per kernel basis vector.  An empty result means the search failed, not
+    that no points exist: a real curve of the locus can miss a real slice.
     """
-    budget = budget or SearchBudget()
     rng = np.random.default_rng(seed)
     u, n, m = Y.d1, Y.d2, Y.d3
     if u < n:
         raise ValueError(f"pencil must be tall: u={u} < n={n}")
     if dims is not None and (dims.u, dims.n, dims.m) != (u, n, m):
         raise ValueError(f"dims {dims} do not match tensor of size {u}x{n}x{m}")
-    raw = _structured_roots(Y, rng, budget.lines, budget.tol)
+    raw = _structured_roots(Y, rng, LINES, tol)
     if raw is None:
-        raw = _multistart_roots(Y, rng, budget.restarts, budget.tol)
-    return _kernel_points(Y, _dedup_points(raw, budget.dedup_tol), budget.tol)
+        raw = _multistart_roots(Y, rng, restarts, tol)
+    return _kernel_points(Y, _dedup_points(raw), tol)
 
 
 def _kernel_points(Y: Tensor3, rows, tol: float) -> list[RankDropPoint]:

@@ -20,6 +20,7 @@ from rankatlas.certify import (
     sigma,
     span_dimension_U,
 )
+from rankatlas import pencil
 from rankatlas.pencil import ProblemDims, Tensor3, afcr_margin, flatten
 
 
@@ -230,14 +231,14 @@ class TestCertify:
         with pytest.raises(ValueError):
             CertifyBudget(search_rounds=0)
 
-    def test_inconclusive_diagnostics(self):
-        # one search round on one line finds too few points to span R^6
+    def test_inconclusive_diagnostics(self, monkeypatch):
+        # a search on one line finds too few points to span R^6
+        monkeypatch.setattr(pencil, "LINES", 1)
         rng = np.random.default_rng(11)
-        budget = CertifyBudget(search_rounds=1, search_lines=1)
         seen = False
         for i in range(3):
             T = Tensor3(rng.standard_normal((3, 3, 6)))
-            verdict = certify(T, budget, seed=i)
+            verdict = certify(T, seed=i)
             if isinstance(verdict, Inconclusive):
                 assert "span_dim" in verdict.diagnostics
                 assert verdict.diagnostics["span_dim"] < 6
@@ -384,15 +385,17 @@ class TestRootCountVerdict:
                 assert verdict.roots.degree == n * (n + 1) // 2
                 assert verdict.roots.roots_real < 2 * n - 1
 
-    def test_planted_rank_p_never_exceeds(self):
+    def test_planted_rank_p_never_exceeds(self, monkeypatch):
         # with the assembly of the rank-5 certificate blocked, the count
         # still finds at least p real roots and refuses rank > p
+        certify_mod = importlib.import_module("rankatlas.certify")
         rng = np.random.default_rng(41)
-        blocked = CertifyBudget(cond_limit_N=1.0)
         for i in range(8):
             T = rank_terms_tensor(rng, 3, 5, 3, 5)
             assert isinstance(certify(T, seed=i), RankP)
-            verdict = certify(T, blocked, seed=i)
+            with monkeypatch.context() as patch:
+                patch.setattr(certify_mod, "COND_LIMIT_N", 1.0)
+                verdict = certify(T, seed=i)
             assert isinstance(verdict, Inconclusive)
             assert verdict.diagnostics["degree"] == 6
             assert verdict.diagnostics["roots_found"] == 6

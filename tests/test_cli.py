@@ -231,6 +231,21 @@ class TestExperimentCommand:
         assert code == 2
         assert err.startswith("error: bad config")
 
+    @pytest.mark.parametrize("change", [
+        {"samples": 2.5},
+        {"n": 3.0},
+        {"samples": True},
+        {"certify_budget": {"residual_tol": 1.0}},  # the gates are fixed
+    ])
+    def test_malformed_values_are_a_bad_config(self, capsys, tmp_path,
+                                               change):
+        cfg = {"n": 3, "p": 6, "m": 3, "samples": 2, **change}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = invoke(capsys, "experiment", str(path))
+        assert code == 2
+        assert err.startswith("error: bad config")
+
 
 class TestUsage:
     def test_unknown_flag(self, capsys):

@@ -235,6 +235,19 @@ class TestBoundsTable:
         assert any("davis" in s and "(8,8)" in s for s in t.skipped)
 
 
+def test_rules_the_seeds_imply_hold_at_64():
+    # Levine's diagonal bound and (n+1) # (n + tau(2n, n)) <= 2n have no
+    # rule of their own; the Stiefel-Hopf seed and the tau family give them
+    table = build_bounds_table(64)
+    for a in range(1, 6):  # n = 3, 5, 9, 17, 33
+        n = 2**a + 1
+        assert table.lower(n, n) >= 2 ** (a + 1)
+    for n in range(1, 64):
+        second = n + tau(2 * n, n)
+        if second <= 64:
+            assert table.upper(n + 1, second) <= 2 * n
+
+
 def test_skipped_rejections_are_distinct(table16):
     # each constant rule is applied once, so no rejection is recorded twice
     assert table16.skipped

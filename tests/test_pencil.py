@@ -5,7 +5,6 @@ from fractions import Fraction
 from rankatlas.pencil import (
     MarginBudget,
     ProblemDims,
-    SearchBudget,
     Tensor3,
     afcr_margin,
     afcr_margin_info,
@@ -353,7 +352,7 @@ class TestRankDropSearch:
         # four slices, u = n + 2: only the budgeted multistart applies
         rng = np.random.default_rng(21)
         Y = Tensor3(rng.standard_normal((4, 6, 4)))
-        pts = rank_drop_search(Y, budget=SearchBudget(restarts=25), seed=1)
+        pts = rank_drop_search(Y, seed=1, restarts=25)
         assert pts
         for p in pts:
             assert p.quality < 1e-8
@@ -465,5 +464,6 @@ def test_margin_info_value():
 
 
 def test_search_budget_defaults():
-    b = SearchBudget()
-    assert b.tol == 1e-8 and b.dedup_tol == 1e-6
+    defaults = rank_drop_search.__kwdefaults__
+    assert defaults == {"restarts": 300, "tol": 1e-8}
+    assert pencil.DEDUP_TOL == 1e-6 and pencil.LINES == 40
