@@ -165,10 +165,15 @@ def nonsingularity_margin(f: BilinearMap, budget: MarginBudget | None = None,
     For unit y, min over unit x of |f(x, y)| is sigma_a of the pencil of
     ``as_tensor(f)`` at y, so this is the pencil margin of that tensor
     (:func:`afcr_margin_info`); it is 0 when c < a, where every pencil has
-    a kernel.  A clearly positive value is strong evidence of
+    a kernel.  The minimum over unit x and y is found by alternating exact
+    steps from ``budget.restarts`` starts (200 by default) in one batch: x
+    is the last right singular vector of the pencil at y, then y the last
+    right singular vector of the matrix y |-> f(x, y), until no start
+    descends by a relative 1e-12 or ``budget.iters`` rounds have run.  A
+    clearly positive value is strong evidence of
     nonsingularity; a tiny one is evidence of a zero (neither is a proof).
     """
     if f.c < f.a:
         return 0.0
-    budget = budget or MarginBudget(restarts=200, iters=500)
+    budget = budget or MarginBudget(restarts=200)
     return afcr_margin_info(as_tensor(f), budget, seed).value

@@ -22,6 +22,7 @@ from typing import Union
 import numpy as np
 
 from .pencil import (
+    TOL_MARGIN,
     MarginBudget,
     ProblemDims,
     RootCount,
@@ -60,7 +61,6 @@ __all__ = [
 COND_LIMIT = 1e12     # condition number of the blocks sigma and nu invert
 COND_LIMIT_N = 1e10   # condition number of the certificate's N
 RESIDUAL_TOL = 1e-6   # pencil, matrix-equation and reconstruction residuals
-TOL_MARGIN = 1e-6     # best-found margin that gives rank > p
 SPAN_RTOL = 1e-8      # relative threshold of the phi-column rank
 
 
@@ -147,10 +147,9 @@ def span_dimension_U(points, dims: ProblemDims) -> int:
 @dataclass(frozen=True)
 class CertifyBudget:
     margin_restarts: int = 40
-    margin_iters: int = 60
+    margin_iters: int = 500
     search_restarts: int = 300
     search_rounds: int = 5  # unused; goes with ROADMAP item 8's benchmark
-    tol_rankdrop: float = 1e-8
 
     def __post_init__(self):
         _require_ints(self, ("margin_restarts", "margin_iters",
@@ -334,9 +333,13 @@ def certify(T: Tensor3, budget: CertifyBudget | None = None,
 
     Elsewhere, and at the corner when the count does not certify, rank > p
     means full column rank of W on the whole sphere, so a found point
-    (sigma_n / sigma_1 below ``tol_rankdrop``) rules it out and the verdict
-    is Inconclusive.  Only a search that finds no point runs the margin
-    descent, whose best-found value above ``TOL_MARGIN`` gives rank > p.
+    (sigma_n / sigma_1 below ``pencil.TOL_RANKDROP``) rules it out and the
+    verdict is Inconclusive.  Only a search that finds no point runs the
+    margin estimate ``afcr_margin_info``: alternating minimisation of
+    |M(a, W) b| over unit a and unit b from ``margin_restarts`` starts in
+    one batch, each half-step an exact smallest-singular-vector solve,
+    until no start descends by a relative 1e-12 or ``margin_iters`` rounds
+    have run.  Its best-found value above ``TOL_MARGIN`` gives rank > p.
     """
     budget = budget or CertifyBudget()
     rng = np.random.default_rng(seed)
@@ -356,11 +359,10 @@ def certify(T: Tensor3, budget: CertifyBudget | None = None,
             diagnostics["roots_real"] = roots.roots_real
     if roots is None:
         found = rank_drop_search(W, dims, seed=rng,
-                                 restarts=budget.search_restarts,
-                                 tol=budget.tol_rankdrop)
+                                 restarts=budget.search_restarts)
     else:  # the certified real roots are every real rank-drop point
         real = roots.count.roots[roots.count.real].real
-        found = _kernel_points(W, real, budget.tol_rankdrop)
+        found = _kernel_points(W, real)
     cert = _collect_certificate(T, W, dims, found, diagnostics)
     if cert is not None:
         return RankP(certificate=cert, diagnostics=diagnostics)

@@ -60,17 +60,18 @@ _TABLE_CACHE: dict[int, HashBoundsTable] = {}
 
 
 def _table_for(n: int, bounds: HashBoundsTable | None) -> HashBoundsTable:
-    """The caller's table when it covers n, else the cached default table
-    over dimensions up to 2n - 1.
+    """The caller's table when it covers dimensions up to 2n - 1, else the
+    cached default table over exactly those.
 
-    A larger table gives the same interval for m#n with m <= n.  Every
+    A smaller table can miss entries the closure needs at (m, n), and a
+    larger one gives the same interval for m#n with m <= n.  Every
     upper bound at (m, n) is at most m+n-1 <= 2n-1, and an upper bound v
     comes only from entries whose dimensions are at most v: restriction
     copies v from an entry whose upper bound is at least its larger
     dimension, convolution builds v from smaller entries, and the constant
     rules depend on no entry.  Lower bounds at (m, n) flow only from
     entries <= (m, n)."""
-    if bounds is not None and bounds.max_dim >= n:
+    if bounds is not None and bounds.max_dim >= 2 * n - 1:
         return bounds
     size = 2 * n - 1
     if size not in _TABLE_CACHE:
@@ -105,11 +106,11 @@ def classify(m: int, n: int, p: int,
 
     Arguments are sorted internally (typical ranks are invariant under
     permuting the three dimensions).  ``bounds`` may supply a prebuilt
-    m#n table, used when it covers the middle dimension n; otherwise one
-    over dimensions up to 2n - 1 is built and cached.  That is exact, not
-    a shortcut: every bound the closure can put on m#n is at most
-    m+n-1 <= 2n-1 and derives only from entries no larger than itself, so
-    a table built to p > 2n-1 pins m#n to the same interval.
+    m#n table, used when it covers dimensions up to 2n - 1 for the middle
+    dimension n; otherwise one over exactly those is built and cached.
+    That is exact, not a shortcut: every bound the closure can put on m#n
+    is at most m+n-1 <= 2n-1 and derives only from entries no larger than
+    itself, so a table built to p > 2n-1 pins m#n to the same interval.
     """
     if m < 1 or n < 1 or p < 1:
         raise ValueError("dimensions must be positive")

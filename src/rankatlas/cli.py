@@ -24,10 +24,10 @@ from .bilinear import (
     hypercomplex_mult,
     restrict,
 )
-from .certify import CertifyBudget, Inconclusive, RankExceedsP, RankP, certify
+from .certify import Inconclusive, RankExceedsP, RankP, certify
 from .classify import classify
 from .hopf import build_bounds_table
-from .pencil import MarginBudget, Tensor3, is_afcr
+from .pencil import TOL_MARGIN, Tensor3, is_afcr
 from .experiments import ExperimentConfig, run_experiment
 
 
@@ -52,8 +52,7 @@ def _read_tensor(path: str) -> Tensor3:
 
 
 def _cmd_trank(args) -> int:
-    table = None if args.max_dim is None else build_bounds_table(args.max_dim)
-    result = classify(args.m, args.n, args.p, table)
+    result = classify(args.m, args.n, args.p)
     m, n, _ = sorted((args.m, args.n, args.p))
     if args.json:
         payload = {
@@ -91,12 +90,12 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_afcr(args) -> int:
     Y = _read_tensor(args.file)
-    budget = MarginBudget(restarts=args.budget_restarts)
-    ok, margin_norm = is_afcr(Y, tol=args.tol, budget=budget, seed=args.seed)
+    ok, margin_norm = is_afcr(Y, seed=args.seed)
     margin = margin_norm * Y.norm()  # report on the tensor's own scale
     if args.json:
         print(json.dumps({"afcr": ok, "margin": margin,
-                          "normalized_margin": margin_norm, "tol": args.tol}))
+                          "normalized_margin": margin_norm,
+                          "tol": TOL_MARGIN}))
     else:
         label = "AFCR" if ok else "not AFCR"
         print(f"{label}, margin {margin:.6f}")
@@ -129,9 +128,7 @@ def _verdict_payload(verdict) -> dict:
 
 def _cmd_certify(args) -> int:
     T = _read_tensor(args.file)
-    budget = CertifyBudget(search_restarts=args.budget_restarts,
-                           tol_rankdrop=args.tol_rankdrop)
-    verdict = certify(T, budget, seed=args.seed)
+    verdict = certify(T, seed=args.seed)
     payload = _verdict_payload(verdict)
     if args.json:
         print(json.dumps(payload))
@@ -200,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trank.add_argument("m", type=int)
     p_trank.add_argument("n", type=int)
     p_trank.add_argument("p", type=int)
-    p_trank.add_argument("--max-dim", type=int, default=None)
     p_trank.add_argument("--json", action="store_true")
     p_trank.set_defaults(func=_cmd_trank)
 
@@ -213,17 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
                             help="full-column-rank margin of a pencil tensor")
     p_afcr.add_argument("file")
     p_afcr.add_argument("--seed", type=int, default=0)
-    p_afcr.add_argument("--tol", type=float, default=1e-6)
-    p_afcr.add_argument("--budget-restarts", type=int, default=60)
     p_afcr.add_argument("--json", action="store_true")
     p_afcr.set_defaults(func=_cmd_afcr)
 
     p_cert = sub.add_parser("certify", help="rank-p decision for a tensor")
     p_cert.add_argument("file")
     p_cert.add_argument("--seed", type=int, default=0)
-    p_cert.add_argument("--budget-restarts", type=int, default=300,
-                        help="multistart search starts (u > n+1, m >= 4 only)")
-    p_cert.add_argument("--tol-rankdrop", type=float, default=1e-8)
     p_cert.add_argument("--strict", action="store_true",
                         help="exit 1 on Inconclusive")
     p_cert.add_argument("--json", action="store_true")

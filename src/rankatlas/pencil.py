@@ -318,12 +318,14 @@ LINES = 40  # square-pencil lines probed by one rank-drop search
 MARGIN_PROBE_LINES = 30  # square-pencil lines probed for margin candidates
 SLICES = 8  # random 3-dim slices per search of an (n+1) x n, m > 3 pencil
 DEDUP_TOL = 1e-6  # distance below which two unit points are one
+TOL_RANKDROP = 1e-8  # sigma_n / sigma_1 below which a is a rank-drop point
+TOL_MARGIN = 1e-6  # normalised margin above which a pencil has full rank
 
 
 @dataclass(frozen=True)
 class MarginBudget:
     restarts: int = 60
-    iters: int = 80
+    iters: int = 500  # alternating rounds
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -369,10 +371,6 @@ def _binary_scaled(T: Tensor3) -> tuple[Tensor3, int]:
     finite and nonzero at any scale."""
     e = int(np.frexp(np.max(np.abs(T.data)))[1])
     return Tensor3(np.ldexp(T.data, -e)), e
-
-
-def _unit(x: np.ndarray) -> np.ndarray:
-    return x / np.linalg.norm(x)
 
 
 def _canonical_sign(a: np.ndarray) -> np.ndarray:
@@ -691,10 +689,9 @@ def _dedup_points(points: np.ndarray) -> list:
 
 def rank_drop_search(Y: Tensor3, dims: ProblemDims | None = None,
                      seed: int | np.random.Generator = 0, *,
-                     restarts: int = 300, tol: float = 1e-8
-                     ) -> list[RankDropPoint]:
+                     restarts: int = 300) -> list[RankDropPoint]:
     """Hunt for unit vectors a with sigma_n / sigma_1 of M(a, Y) below
-    ``tol``.
+    ``TOL_RANKDROP``.
 
     Square pencils (u == n) are handled by real generalized eigenvalues on
     LINES random lines; 3-slice rectangular pencils by the complete
@@ -711,22 +708,22 @@ def rank_drop_search(Y: Tensor3, dims: ProblemDims | None = None,
         raise ValueError(f"pencil must be tall: u={u} < n={n}")
     if dims is not None and (dims.u, dims.n, dims.m) != (u, n, m):
         raise ValueError(f"dims {dims} do not match tensor of size {u}x{n}x{m}")
-    raw = _structured_roots(Y, rng, LINES, tol)
+    raw = _structured_roots(Y, rng, LINES, TOL_RANKDROP)
     if raw is None:
-        raw = _multistart_roots(Y, rng, restarts, tol)
-    return _kernel_points(Y, _dedup_points(raw), tol)
+        raw = _multistart_roots(Y, rng, restarts, TOL_RANKDROP)
+    return _kernel_points(Y, _dedup_points(raw))
 
 
-def _kernel_points(Y: Tensor3, rows, tol: float) -> list[RankDropPoint]:
+def _kernel_points(Y: Tensor3, rows) -> list[RankDropPoint]:
     """The rank-drop points at the distinct unit vectors a in ``rows``: one
     per right singular vector of M(a, Y) whose sigma_i / sigma_1 is below
-    ``tol``."""
+    ``TOL_RANKDROP``."""
     points = []
     for a in rows:
         _, s, Vt = np.linalg.svd(contract_pencil(a, Y))
         top = s[0] if s[0] > 0 else 1.0
         for i in range(Y.d2 - 1, -1, -1):
-            if s[i] / top < tol:
+            if s[i] / top < TOL_RANKDROP:
                 points.append(RankDropPoint(
                     a=a, b=_canonical_sign(Vt[i]), quality=float(s[i] / top)))
             else:
@@ -738,55 +735,40 @@ def afcr_margin_info(Y: Tensor3, budget: MarginBudget | None = None,
                      seed: int | np.random.Generator = 0) -> MarginInfo:
     """Best-found minimum of sigma_n(M(a, Y)) over unit a.
 
-    Multistart projected-gradient descent, with structured zero candidates
-    (line roots / two-parameter roots) evaluated first so that genuinely
-    singular pencils report an essentially zero margin.  The result is an
-    upper estimate of the true margin: strictly positive values are evidence
-    of full column rank everywhere, not proof.
+    Alternating minimisation of |M(a, Y) b| over unit a and unit b, all
+    ``budget.restarts`` starts in one batch: b becomes the last right
+    singular vector of M(a), then a the last right singular vector of the
+    u x m matrix [Y_1 b ... Y_m b].  Each half-step is an exact
+    minimisation, so no start's value sigma_n(M(a)) rises.  Start 0 is the
+    best of the unit vectors e_k and the structured zero candidates (line
+    roots / two-parameter roots), so that genuinely singular pencils report
+    an essentially zero margin; the others are random.  The loop stops when
+    the best value is below 1e-15, when no start lowers its value by more
+    than a relative 1e-12, or after ``budget.iters`` rounds.  The result is
+    an upper estimate of the true margin: strictly positive values are
+    evidence of full column rank everywhere, not proof.
     """
     budget = budget or MarginBudget()
     rng = np.random.default_rng(seed)
     u, n, m = Y.d1, Y.d2, Y.d3
     if u < n:
         raise ValueError(f"pencil must be tall: u={u} < n={n}")
-
-    def value(a):
-        return np.linalg.svd(contract_pencil(a, Y), compute_uv=False)[n - 1]
-
     roots = _structured_roots(Y, rng, MARGIN_PROBE_LINES, np.inf)
     candidates = np.vstack([np.eye(m)] + ([] if roots is None else [roots]))
     values = np.linalg.svd(_pencils(candidates, Y), compute_uv=False)[:, n - 1]
-    best_val, best_a = values.min(), candidates[values.argmin()]
-    restarts = 0
-    for r in range(budget.restarts):
-        restarts += 1
-        a = _unit(rng.standard_normal(m))
-        if r == 0:
-            a = best_a
-        f = value(a)
-        for _ in range(budget.iters):
-            U_, s_, Vt_ = np.linalg.svd(contract_pencil(a, Y))
-            g = np.array([U_[:, n - 1] @ Y.data[k] @ Vt_[n - 1]
-                          for k in range(m)])
-            g -= (g @ a) * a  # tangent projection
-            ng = np.linalg.norm(g)
-            if ng < 1e-14:
-                break
-            step, moved = 0.3, False
-            while step > 1e-12:
-                an = _unit(a - step * g / ng)
-                fn = value(an)
-                if fn < f:
-                    a, f, moved = an, fn, True
-                    break
-                step /= 2
-            if not moved or f < 1e-15:
-                break
-        if f < best_val:
-            best_val, best_a = f, a
-        if best_val < 1e-15:
+    a = rng.standard_normal((budget.restarts, m))
+    a[0] = candidates[values.argmin()]
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    f = np.full(budget.restarts, np.inf)
+    for _ in range(budget.iters):
+        s, Vt = np.linalg.svd(_pencils(a, Y), full_matrices=False)[1:]
+        last, f = f, s[:, n - 1]
+        if f.min() < 1e-15 or np.all(f >= (1 - 1e-12) * last):
             break
-    return MarginInfo(value=float(best_val), restarts=restarts)
+        B = np.einsum("kij,rj->rik", Y.data, Vt[:, n - 1])  # [Y_k b]
+        a = np.linalg.svd(B)[2][:, -1]  # full Vt: a kernel vector if u < m
+    return MarginInfo(value=float(min(f.min(), values.min())),
+                      restarts=budget.restarts)
 
 
 def afcr_margin(Y: Tensor3, budget: MarginBudget | None = None,
@@ -794,19 +776,18 @@ def afcr_margin(Y: Tensor3, budget: MarginBudget | None = None,
     return afcr_margin_info(Y, budget, seed).value
 
 
-def is_afcr(Y: Tensor3, tol: float = 1e-6,
-            budget: MarginBudget | None = None,
+def is_afcr(Y: Tensor3, budget: MarginBudget | None = None,
             seed: int | np.random.Generator = 0) -> tuple[bool, float]:
     """Classify Y by the margin of its Frobenius-normalized copy.
 
-    Returns (classification, normalized margin); margin above ``tol`` counts
-    as full column rank on the whole sphere.
+    Returns (classification, normalized margin); margin above
+    ``TOL_MARGIN`` counts as full column rank on the whole sphere.
     """
     norm = Y.norm()
     if norm == 0:
         return False, 0.0
     margin = afcr_margin(Y.scaled(1.0 / norm), budget, seed)
-    return margin > tol, margin
+    return margin > TOL_MARGIN, margin
 
 
 def corner_minors(a, Y: Tensor3, dims: ProblemDims | None = None) -> np.ndarray:

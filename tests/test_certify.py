@@ -413,7 +413,7 @@ class TestRootCountVerdict:
             assert verdict.diagnostics["points_found"] == 2
             assert verdict.diagnostics["degree"] == 6
             assert verdict.diagnostics["roots_found"] is None
-        # sample 4 has no real point, and the margin descent decides it
+        # sample 4 has no real point, and the margin estimate decides it
         assert isinstance(verdicts[4], RankExceedsP)
         assert verdicts[4].roots is None and verdicts[4].margin > 1e-6
 

@@ -136,6 +136,11 @@ class TestDefaultTable:
                     assert (dataclasses.asdict(wide)
                             == dataclasses.asdict(narrow)), (m, n, p)
 
+    def test_small_caller_table_is_not_weaker(self):
+        # a table to 7 < 2n - 1 = 13 lacks entries the closure needs for
+        # 5#7, so it must not replace the default table
+        assert classify(5, 7, 27, build_bounds_table(7)).ranks == (27, 28)
+
     def test_default_table_does_not_grow_with_p(self, monkeypatch):
         module = importlib.import_module("rankatlas.classify")
         sizes = []

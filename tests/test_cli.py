@@ -7,6 +7,7 @@ import pytest
 from rankatlas.classify import classify
 from rankatlas.cli import run
 from rankatlas.hopf import build_bounds_table
+from rankatlas import pencil
 from rankatlas.pencil import Tensor3
 from tests_helpers import quaternion_high_rank_tensor
 
@@ -144,17 +145,16 @@ class TestCertifyCommand:
         assert code == 0
         assert "RankExceedsP" in out
 
-    def test_strict_inconclusive_exit(self, capsys, tmp_path):
-        # a rank-drop tolerance of 1e-300 admits no point, and the margin
+    def test_strict_inconclusive_exit(self, capsys, tmp_path, monkeypatch):
+        # a rank-drop threshold of 1e-300 admits no point, and the margin
         # of the singular 3x6x3 pencil (about 1e-18) is below tolerance
+        monkeypatch.setattr(pencil, "TOL_RANKDROP", 1e-300)
         T = Tensor3(np.random.default_rng(7).standard_normal((3, 3, 6)))
         path = tmp_path / "t.json"
         path.write_text(T.to_json())
-        code, out, _ = invoke(capsys, "certify", str(path), "--json",
-                              "--tol-rankdrop", "1e-300")
+        code, out, _ = invoke(capsys, "certify", str(path), "--json")
         assert json.loads(out)["verdict"] == "Inconclusive"
-        code, out, _ = invoke(capsys, "certify", str(path), "--strict",
-                              "--tol-rankdrop", "1e-300")
+        code, out, _ = invoke(capsys, "certify", str(path), "--strict")
         assert code == 1
 
     def test_root_count_verdict(self, capsys, tmp_path):

@@ -281,6 +281,21 @@ class TestAfcrMargin:
         with pytest.raises(ValueError):
             MarginBudget(restarts=0)
 
+    @pytest.mark.parametrize("i", [1, 2, 5])
+    def test_planted_zero_found(self, i):
+        # a 9x5x5 pencil is generically of full rank, and no structured
+        # solver applies to it; with a zero planted at (a0, b0) the margin
+        # estimate must find it
+        rng = np.random.default_rng([11, 9, 5, 5, i])
+        Y = rng.standard_normal((5, 9, 5))
+        a0, b0 = (v / np.linalg.norm(v) for v in
+                  (rng.standard_normal(5), rng.standard_normal(5)))
+        r = np.einsum("k,kij,j->i", a0, Y, b0)
+        Y -= np.einsum("k,i,j->kij", a0, r, b0)
+        Y = Tensor3(Y / np.linalg.norm(Y))
+        assert np.linalg.norm(contract_pencil(a0, Y) @ b0) < 1e-14
+        assert afcr_margin_info(Y, seed=i).value <= 1e-6
+
     def test_classification_invariant_under_row_mixing(self):
         # well-conditioned P on the left cannot change the classification
         rng = np.random.default_rng(13)
@@ -465,5 +480,6 @@ def test_margin_info_value():
 
 def test_search_budget_defaults():
     defaults = rank_drop_search.__kwdefaults__
-    assert defaults == {"restarts": 300, "tol": 1e-8}
+    assert defaults == {"restarts": 300}
+    assert pencil.TOL_RANKDROP == 1e-8
     assert pencil.DEDUP_TOL == 1e-6 and pencil.LINES == 40
