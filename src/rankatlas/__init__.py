@@ -25,7 +25,6 @@ from .pencil import (
     kernel_vector_psi,
     minor,
     pluecker_residual,
-    point_regularity,
     rank_drop_search,
 )
 from .bilinear import (
@@ -51,7 +50,6 @@ from .certify import (
     nu,
     phi,
     sigma,
-    span_dimension_U,
 )
 from .classify import TrankResult, classify
 from .experiments import (

@@ -50,7 +50,6 @@ __all__ = [
     "iota_tensor",
     "nu",
     "phi",
-    "span_dimension_U",
     "certify",
     "decompose",
     "CPFactors",
@@ -121,27 +120,20 @@ def nu(Y: Tensor3) -> np.ndarray:
 
 def phi(a, b, dims: ProblemDims) -> np.ndarray:
     """Stack a_1 b, ..., a_(m-2) b and a_(m-1) times the first n-l entries
-    of b into R^p.  The last coordinate of ``a`` never enters."""
+    of b into R^p.  The last coordinate of ``a`` never enters.  Stacked
+    rows a (..., m) and b (..., n) with the same leading shape give their
+    images row by row, (..., p)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape != (dims.m,) or b.shape != (dims.n,):
+    lead = a.shape[:-1]
+    if a.shape != lead + (dims.m,) or b.shape != lead + (dims.n,):
         raise ValueError(
-            f"phi expects shapes ({dims.m},), ({dims.n},); "
-            f"got {a.shape}, {b.shape}")
-    parts = [a[k] * b for k in range(dims.m - 2)]
-    parts.append(a[dims.m - 2] * b[: dims.n - dims.l])
-    return np.concatenate(parts)
-
-
-def span_dimension_U(points, dims: ProblemDims) -> int:
-    """Numerical rank of the matrix whose columns are phi(d_j, b_j)."""
-    cols = [phi(d, b, dims) for d, b in points]
-    if not cols:
-        return 0
-    s = np.linalg.svd(np.column_stack(cols), compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > SPAN_RTOL * s[0]))
+            f"phi expects shapes (..., {dims.m}), (..., {dims.n}) with the "
+            f"same leading shape; got {a.shape}, {b.shape}")
+    head = a[..., :dims.m - 2, None] * b[..., None, :]
+    return np.concatenate([head.reshape(lead + (-1,)),
+                           a[..., dims.m - 2, None] * b[..., :dims.n - dims.l]],
+                          axis=-1)
 
 
 @dataclass(frozen=True)
@@ -230,15 +222,16 @@ class Inconclusive:
 Verdict = Union[RankP, RankExceedsP, Inconclusive]
 
 
-def _select_independent(candidates, p):
-    """Pick up to p well-conditioned phi columns by column-pivoted
-    Gram-Schmidt: each step takes the column of largest residual norm.
+def _select_independent(Phi, p):
+    """The numerical rank of the columns of ``Phi`` and the indices of up
+    to p well-conditioned ones, picked by column-pivoted Gram-Schmidt: each
+    step takes the column of largest residual norm.
 
     Incremental greedy can trap itself: a marginally independent column
     caps the reachable singular values of every later extension, so the
     selection is redone over the whole candidate pool each time.
     """
-    res = np.column_stack([col for col, _ in candidates])
+    res = np.array(Phi, order="C")
     piv, first = [], 0.0
     for _ in range(res.shape[0]):
         norms = np.linalg.norm(res, axis=0)
@@ -250,7 +243,7 @@ def _select_independent(candidates, p):
         q = res[:, j] / norms[j]
         res -= np.outer(q, q @ res)
         piv.append(j)
-    return len(piv), [candidates[j][1] for j in piv[:p]]
+    return len(piv), piv[:p]
 
 
 def _collect_certificate(T, W, dims, found, diagnostics):
@@ -259,18 +252,18 @@ def _collect_certificate(T, W, dims, found, diagnostics):
     if not found:
         diagnostics["span_dim"] = 0
         return None
-    candidates = [(phi(pt.a, pt.b, dims), (pt.a, pt.b)) for pt in found]
-    diagnostics["points_found"] = len(candidates)
-    span, chosen = _select_independent(candidates, dims.p)
+    diagnostics["points_found"] = len(found)
+    Phi = phi(np.array([pt.a for pt in found]),
+              np.array([pt.b for pt in found]), dims).T
+    span, piv = _select_independent(Phi, dims.p)
     diagnostics["span_dim"] = span
     if span < dims.p:
         return None
-    n, p, m = dims.n, dims.p, dims.m
+    p, m = dims.p, dims.m
+    chosen = [(found[j].a, found[j].b) for j in piv]
     A = np.column_stack([b for _, b in chosen])
     D = np.array([d for d, _ in chosen])  # p x m
-    blocks = [A @ np.diag(D[:, k]) for k in range(m - 2)]
-    blocks.append((A @ np.diag(D[:, m - 2]))[: n - dims.l])
-    N = np.vstack(blocks)
+    N = Phi[:, piv]
     condN = np.linalg.cond(N)
     diagnostics["cond_N"] = float(condN)
     if not condN <= COND_LIMIT_N:

@@ -23,7 +23,6 @@ __all__ = [
     "MarginBudget",
     "RankDropPoint",
     "RootCount",
-    "PointRegularity",
     "flatten",
     "contract_pencil",
     "minor",
@@ -34,7 +33,6 @@ __all__ = [
     "is_afcr",
     "rank_drop_search",
     "corner_root_count",
-    "point_regularity",
     "corner_minors",
     "corner_minor_jacobian",
 ]
@@ -358,13 +356,6 @@ class RootCount:
     radii: np.ndarray = field(repr=False)
 
 
-@dataclass(frozen=True)
-class PointRegularity:
-    corner: float
-    jacobian_ok: bool
-    jacobian: np.ndarray = field(repr=False, default=None)
-
-
 def _binary_scaled(T: Tensor3) -> tuple[Tensor3, int]:
     """T divided by 2**e, the power of two nearest max |T|, and e.  The
     division is exact, and it keeps Frobenius norms of T and of residuals
@@ -382,14 +373,6 @@ def _canonical_sign(a: np.ndarray) -> np.ndarray:
 def _pencils(a: np.ndarray, Y: Tensor3) -> np.ndarray:
     """Stacked M(a_r, Y) for the rows a_r of ``a``."""
     return np.einsum("rk,kij->rij", a, Y.data)
-
-
-def _rank_deficient(Y: Tensor3, a: np.ndarray, tol: float) -> np.ndarray:
-    """The rows of ``a`` at which sigma_n / sigma_1 of the pencil is below
-    ``tol``."""
-    s = np.linalg.svd(_pencils(a, Y), compute_uv=False)
-    top = np.where(s[:, 0] > 0, s[:, 0], 1.0)
-    return a[s[:, Y.d2 - 1] / top < tol]
 
 
 def _pencil_eigvals(A: np.ndarray, B: np.ndarray):
@@ -413,8 +396,9 @@ def _pencil_eigvals(A: np.ndarray, B: np.ndarray):
     return lam * np.cos(t) - np.sin(t), np.cos(t) + lam * np.sin(t)
 
 
-def _square_line_roots(Y: Tensor3, rng, lines: int, tol: float):
-    """Real zeros of det M(a, Y) on random lines, via generalized eigenvalues."""
+def _square_line_roots(Y: Tensor3, rng, lines: int):
+    """Unit real zeros of det M(a, Y) on random lines, via generalized
+    eigenvalues."""
     ends = rng.standard_normal((lines, 2, Y.d3))
     ends /= np.linalg.norm(ends, axis=2, keepdims=True)
     try:
@@ -431,7 +415,7 @@ def _square_line_roots(Y: Tensor3, rng, lines: int, tol: float):
     a = be.real[real, None] * ends[line, 0] + al.real[real, None] * ends[line, 1]
     norm = np.linalg.norm(a, axis=1, keepdims=True)
     big = norm[:, 0] >= 1e-10
-    return _rank_deficient(Y, a[big] / norm[big], tol)
+    return a[big] / norm[big]
 
 
 def _realified(A: np.ndarray) -> np.ndarray:
@@ -481,10 +465,10 @@ def _two_param_candidates(Y: Tensor3, rng, real_x: bool):
     return R, D0, x, y
 
 
-def _two_param_roots(Y: Tensor3, rng, tol: float):
-    """All isolated real rank-drop points of a 3-slice rectangular pencil:
-    the real two-parameter candidates that pass the sigma_n filter, which
-    spurious compression roots fail."""
+def _two_param_roots(Y: Tensor3, rng):
+    """Unit real candidates of a 3-slice rectangular pencil: every isolated
+    real rank-drop point, and spurious compression roots, which the
+    sigma_n / sigma_1 test of ``_kernel_points`` rejects."""
     try:
         R, _, x, y = _two_param_candidates(Y, rng, real_x=True)
     except np.linalg.LinAlgError:
@@ -492,7 +476,7 @@ def _two_param_roots(Y: Tensor3, rng, tol: float):
     a_rot = np.stack([np.ones_like(x), x, y.real], axis=1)
     real = np.abs(y.imag) <= 1e-7 * np.max(np.abs(a_rot), axis=1)
     a = a_rot[real] @ R
-    return _rank_deficient(Y, a / np.linalg.norm(a, axis=1, keepdims=True), tol)
+    return a / np.linalg.norm(a, axis=1, keepdims=True)
 
 
 def _kernel_system(Z: np.ndarray, z: np.ndarray, k: np.ndarray):
@@ -623,9 +607,10 @@ def corner_root_count(Y: Tensor3, seed: int | np.random.Generator = 0
     return RootCount(degree=degree, roots=a, real=real, radii=radii)
 
 
-def _multistart_roots(Y: Tensor3, rng, restarts: int, tol: float):
+def _multistart_roots(Y: Tensor3, rng, restarts: int):
     """Batched Gauss-Newton on the kernel equation M(a, Y) b = 0 with
     |a| = |b| = 1; heuristic, used when no structured solver applies.
+    Returns the unit a of every start, converged or not.
 
     It starts from ``restarts`` random unit a, with b the last right
     singular vector of M(a).  Each step is the minimum-norm solution of the
@@ -650,41 +635,43 @@ def _multistart_roots(Y: Tensor3, rng, restarts: int, tol: float):
         a, b = a - step[:, :m], b - step[:, m:]
         a /= np.linalg.norm(a, axis=1, keepdims=True)
         b /= np.linalg.norm(b, axis=1, keepdims=True)
-    return _rank_deficient(Y, a, tol)
+    return a
 
 
-def _structured_roots(Y: Tensor3, rng, lines: int, tol: float):
-    """Rank-drop candidates from the square-pencil or the two-parameter
-    solver, or None when neither applies to the shape of Y.  The slices
-    a = H c of an (n+1) x n pencil have orthonormal H, so |a| = |c|."""
+def _structured_roots(Y: Tensor3, rng, lines: int):
+    """Unit rank-drop candidates from the square-pencil or the
+    two-parameter solver, or None when neither applies to the shape of Y.
+    No candidate is tested here: ``_kernel_points`` keeps the rank-drop
+    points among them, and ``afcr_margin_info`` starts from the best.  The
+    slices a = H c of an (n+1) x n pencil have orthonormal H, so
+    |a| = |c|."""
     u, n, m = Y.d1, Y.d2, Y.d3
     if u == n:
-        return _square_line_roots(Y, rng, lines, tol)
+        return _square_line_roots(Y, rng, lines)
     if m == 3 and u <= 2 * n:
-        return _two_param_roots(Y, rng, tol)
+        return _two_param_roots(Y, rng)
     if m > 3 and u == n + 1:
         found = []
         for _ in range(SLICES):
             H = np.linalg.qr(rng.standard_normal((m, 3)))[0]
             Z = Tensor3(np.einsum("kc,kij->cij", H, Y.data))
-            found.append(_two_param_roots(Z, rng, tol) @ H.T)
+            found.append(_two_param_roots(Z, rng) @ H.T)
         return np.concatenate(found)
     return None
 
 
-def _dedup_points(points: np.ndarray) -> list:
-    """Canonically signed rows of ``points`` without those closer than
-    ``DEDUP_TOL`` to an earlier kept one, sorted by their coordinates
-    rounded to 9 digits.  One row of the distance array is computed per kept
-    point, which keeps memory linear in the number of points."""
-    P = _canonical_sign(points)
+def _dedup_points(P: np.ndarray) -> np.ndarray:
+    """Indices of the rows of ``P`` that are not closer than ``DEDUP_TOL``
+    to an earlier kept one, in the order of their coordinates rounded to 9
+    digits.  One row of the distance array is computed per kept row, which
+    keeps memory linear in the number of rows."""
     keep = np.ones(len(P), dtype=bool)
     for i in range(len(P)):
         if keep[i]:
             keep[i + 1:] &= ~(np.linalg.norm(P[i + 1:] - P[i], axis=1)
                               < DEDUP_TOL)
-    uniq = P[keep]
-    return list(uniq[np.lexsort(np.round(uniq, 9).T[::-1])])
+    idx = np.flatnonzero(keep)
+    return idx[np.lexsort(np.round(P[idx], 9).T[::-1])]
 
 
 def rank_drop_search(Y: Tensor3, dims: ProblemDims | None = None,
@@ -698,9 +685,11 @@ def rank_drop_search(Y: Tensor3, dims: ProblemDims | None = None,
     two-parameter eigenvalue reduction; (n+1) x n pencils with m > 3
     slices, whose locus has codimension 2, by that reduction on SLICES
     random real 3-dim slices; anything else by batched Gauss-Newton on
-    M(a, Y) b = 0 from ``restarts`` random starts.  One point is returned
-    per kernel basis vector.  An empty result means the search failed, not
-    that no points exist: a real curve of the locus can miss a real slice.
+    M(a, Y) b = 0 from ``restarts`` random starts.  The solvers return
+    candidates only; the rank-drop test runs once, on all of them, in
+    ``_kernel_points``.  One point is returned per kernel basis vector.  An
+    empty result means the search failed, not that no points exist: a real
+    curve of the locus can miss a real slice.
     """
     rng = np.random.default_rng(seed)
     u, n, m = Y.d1, Y.d2, Y.d3
@@ -708,26 +697,29 @@ def rank_drop_search(Y: Tensor3, dims: ProblemDims | None = None,
         raise ValueError(f"pencil must be tall: u={u} < n={n}")
     if dims is not None and (dims.u, dims.n, dims.m) != (u, n, m):
         raise ValueError(f"dims {dims} do not match tensor of size {u}x{n}x{m}")
-    raw = _structured_roots(Y, rng, LINES, TOL_RANKDROP)
+    raw = _structured_roots(Y, rng, LINES)
     if raw is None:
-        raw = _multistart_roots(Y, rng, restarts, TOL_RANKDROP)
-    return _kernel_points(Y, _dedup_points(raw))
+        raw = _multistart_roots(Y, rng, restarts)
+    return _kernel_points(Y, raw)
 
 
 def _kernel_points(Y: Tensor3, rows) -> list[RankDropPoint]:
-    """The rank-drop points at the distinct unit vectors a in ``rows``: one
-    per right singular vector of M(a, Y) whose sigma_i / sigma_1 is below
-    ``TOL_RANKDROP``."""
+    """The rank-drop test, run once on the unit candidate ``rows`` (m
+    columns) by one stacked SVD: the canonically signed rows with
+    sigma_n / sigma_1 of M(a, Y) below ``TOL_RANKDROP``, deduplicated by
+    ``_dedup_points``, each give one point per trailing right singular
+    vector whose sigma_i / sigma_1 is below it."""
+    a = _canonical_sign(np.asarray(rows, dtype=float).reshape(-1, Y.d3))
+    _, s, Vt = np.linalg.svd(_pencils(a, Y))
+    q = s / np.where(s[:, :1] > 0, s[:, :1], 1.0)
+    drop = np.flatnonzero(q[:, -1] < TOL_RANKDROP)
     points = []
-    for a in rows:
-        _, s, Vt = np.linalg.svd(contract_pencil(a, Y))
-        top = s[0] if s[0] > 0 else 1.0
+    for r in drop[_dedup_points(a[drop])]:
         for i in range(Y.d2 - 1, -1, -1):
-            if s[i] / top < TOL_RANKDROP:
-                points.append(RankDropPoint(
-                    a=a, b=_canonical_sign(Vt[i]), quality=float(s[i] / top)))
-            else:
+            if not q[r, i] < TOL_RANKDROP:
                 break
+            points.append(RankDropPoint(a=a[r], b=_canonical_sign(Vt[r, i]),
+                                        quality=float(q[r, i])))
     return points
 
 
@@ -740,9 +732,10 @@ def afcr_margin_info(Y: Tensor3, budget: MarginBudget | None = None,
     singular vector of M(a), then a the last right singular vector of the
     u x m matrix [Y_1 b ... Y_m b].  Each half-step is an exact
     minimisation, so no start's value sigma_n(M(a)) rises.  Start 0 is the
-    best of the unit vectors e_k and the structured zero candidates (line
-    roots / two-parameter roots), so that genuinely singular pencils report
-    an essentially zero margin; the others are random.  The loop stops when
+    best of the unit vectors e_k and the raw structured candidates (line
+    roots / two-parameter roots, with no rank-drop test: only their
+    sigma_n is compared), so that genuinely singular pencils report an
+    essentially zero margin; the others are random.  The loop stops when
     the best value is below 1e-15, when no start lowers its value by more
     than a relative 1e-12, or after ``budget.iters`` rounds.  The result is
     an upper estimate of the true margin: strictly positive values are
@@ -753,7 +746,7 @@ def afcr_margin_info(Y: Tensor3, budget: MarginBudget | None = None,
     u, n, m = Y.d1, Y.d2, Y.d3
     if u < n:
         raise ValueError(f"pencil must be tall: u={u} < n={n}")
-    roots = _structured_roots(Y, rng, MARGIN_PROBE_LINES, np.inf)
+    roots = _structured_roots(Y, rng, MARGIN_PROBE_LINES)
     candidates = np.vstack([np.eye(m)] + ([] if roots is None else [roots]))
     values = np.linalg.svd(_pencils(candidates, Y), compute_uv=False)[:, n - 1]
     a = rng.standard_normal((budget.restarts, m))
@@ -823,20 +816,3 @@ def corner_minor_jacobian(a, Y: Tensor3, dims: ProblemDims) -> np.ndarray:
         for si, s in enumerate(range(m - v, m)):
             J[ki, si] = _det_grad_rows(sub, Y.data[s][rows, :])
     return J
-
-
-def point_regularity(a, Y: Tensor3, dims: ProblemDims) -> PointRegularity:
-    """Smoothness diagnostics at a candidate rank-drop point.
-
-    ``corner`` is |det| of the leading (n-1) x (n-1) block of the pencil;
-    ``jacobian_ok`` reports whether the corner-minor Jacobian in the last v
-    coordinates has full numerical rank.  Degenerate points are reported,
-    never rejected.
-    """
-    M = contract_pencil(a, Y)
-    n = Y.d2
-    corner = abs(np.linalg.det(M[: n - 1, : n - 1]))
-    J = corner_minor_jacobian(a, Y, dims)
-    s = np.linalg.svd(J, compute_uv=False)
-    ok = bool(s.size and s[0] > 0 and s[-1] > 1e-8 * s[0])
-    return PointRegularity(corner=float(corner), jacobian_ok=ok, jacobian=J)

@@ -11,6 +11,7 @@ from rankatlas.certify import (
     RankExceedsP,
     RankP,
     RootCountCertificate,
+    _select_independent,
     certify,
     decompose,
     iota,
@@ -18,7 +19,6 @@ from rankatlas.certify import (
     nu,
     phi,
     sigma,
-    span_dimension_U,
 )
 from rankatlas import pencil
 from rankatlas.pencil import ProblemDims, Tensor3, afcr_margin, flatten
@@ -158,26 +158,44 @@ class TestPhi:
         with pytest.raises(ValueError):
             phi(np.zeros(4), np.zeros(3), dims)
 
+    def test_stacked_rows(self):
+        dims = ProblemDims(m=4, n=4, p=11)
+        rng = np.random.default_rng(8)
+        a, b = rng.standard_normal((2, 5, 4)), rng.standard_normal((2, 5, 4))
+        out = phi(a, b, dims)
+        assert out.shape == (2, 5, 11)
+        for i, j in np.ndindex(2, 5):
+            assert np.array_equal(out[i, j], phi(a[i, j], b[i, j], dims))
+
+    def test_mismatched_leading_shapes(self):
+        dims = ProblemDims(m=3, n=3, p=6)
+        with pytest.raises(ValueError):
+            phi(np.zeros((5, 3)), np.zeros((4, 3)), dims)
+        with pytest.raises(ValueError):
+            phi(np.zeros((5, 3)), np.zeros(3), dims)
+
 
 class TestSpanDimension:
+    # the numerical rank of the phi columns, as a certificate counts it
+    @staticmethod
+    def span(points, dims):
+        d, b = (np.array(x) for x in zip(*points))
+        return _select_independent(phi(d, b, dims).T, dims.p)[0]
+
     def test_single_and_duplicate(self):
         dims = ProblemDims(m=3, n=3, p=6)
         d = np.array([1.0, 2.0, 3.0])
         b = np.array([0.5, -1.0, 2.0])
-        assert span_dimension_U([(d, b)], dims) == 1
-        assert span_dimension_U([(d, b), (d, b)], dims) == 1
-        assert span_dimension_U([(d, b), (-d, -b)], dims) == 1
+        assert self.span([(d, b)], dims) == 1
+        assert self.span([(d, b), (d, b)], dims) == 1
+        assert self.span([(d, b), (-d, -b)], dims) == 1
 
     def test_full_span_from_synthetic_points(self):
         dims = ProblemDims(m=3, n=3, p=6)
         rng = np.random.default_rng(9)
         pts = [(rng.standard_normal(3), rng.standard_normal(3))
                for _ in range(6)]
-        assert span_dimension_U(pts, dims) == 6
-
-    def test_empty(self):
-        dims = ProblemDims(m=3, n=3, p=6)
-        assert span_dimension_U([], dims) == 0
+        assert self.span(pts, dims) == 6
 
 
 class TestCertify:

@@ -17,7 +17,6 @@ from rankatlas.pencil import (
     kernel_vector_psi,
     minor,
     pluecker_residual,
-    point_regularity,
     rank_drop_search,
 )
 from rankatlas import pencil
@@ -433,28 +432,37 @@ class TestCornerRootCount:
             corner_root_count(Tensor3(np.ones(shape)))
 
 
+class TestKernelPoints:
+    def test_planted_two_dim_kernel(self):
+        # M(a0) (I - K K^T) has the orthonormal columns of K in its kernel:
+        # one point per kernel vector, both at a0, their b spanning K
+        rng = np.random.default_rng(18)
+        Y = rng.standard_normal((3, 5, 4))
+        a0 = rng.standard_normal(3)
+        a0 /= np.linalg.norm(a0) * np.sign(a0[np.argmax(np.abs(a0))])
+        K = np.linalg.qr(rng.standard_normal((4, 2)))[0]
+        Y -= np.einsum("k,ij->kij", a0, np.einsum("k,kij->ij", a0, Y) @ K @ K.T)
+        points = pencil._kernel_points(Tensor3(Y), [a0])
+        assert len(points) == 2
+        for pt in points:
+            assert np.allclose(pt.a, a0, rtol=0, atol=1e-15)
+            assert pt.quality < 1e-8
+        B = np.column_stack([pt.b for pt in points])
+        assert np.linalg.norm(B - K @ (K.T @ B)) < 1e-12
+        assert abs(np.linalg.det(K.T @ B)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_full_rank_row_gives_no_point(self):
+        rng = np.random.default_rng(19)
+        Y = Tensor3(rng.standard_normal((3, 5, 4)))
+        a = rng.standard_normal(3)
+        assert pencil._kernel_points(Y, [a / np.linalg.norm(a)]) == []
+
+    def test_no_rows_give_no_point(self):
+        Y = Tensor3(np.random.default_rng(19).standard_normal((3, 5, 4)))
+        assert pencil._kernel_points(Y, np.empty((0, 3))) == []
+
+
 class TestPointRegularity:
-    def test_generic_point_regular(self):
-        rng = np.random.default_rng(16)
-        dims = ProblemDims(m=3, n=3, p=5)
-        hits = 0
-        for trial in range(8):
-            Y = Tensor3(rng.standard_normal((3, 4, 3)))
-            for pt in rank_drop_search(Y, dims, seed=trial):
-                rep = point_regularity(pt.a, Y, dims)
-                assert rep.jacobian.shape == (dims.v, dims.v)
-                if rep.corner > 1e-6:
-                    hits += 1
-                    assert rep.jacobian_ok
-        assert hits > 0
-
-    def test_degenerate_reported_not_rejected(self):
-        dims = ProblemDims(m=3, n=3, p=5)
-        Y = Tensor3(np.zeros((3, 4, 3)))
-        rep = point_regularity(np.ones(3), Y, dims)
-        assert rep.corner == 0.0
-        assert not rep.jacobian_ok
-
     def test_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(17)
         dims = ProblemDims(m=3, n=3, p=5)
