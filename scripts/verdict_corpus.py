@@ -13,6 +13,14 @@ n x p x m is ``rng.standard_normal((m, n, p))`` with
 ``span_dim`` diagnostics (None where the verdict has none); the digest is
 the SHA-256 of the labels in order.  Two checkouts that give the same
 verdicts and residuals bit for bit print the same digests.
+
+``--labels`` also prints each sample's label as one tab-separated line
+(shape, index, kind, points_found, span_dim, residual) before the shape's
+summary, so that two checkouts can be compared sample by sample:
+
+    diff <(cut -s -f1-5 parent.txt) <(cut -s -f1-5 change.txt)
+
+compares verdicts and point counts without the residuals' last bits.
 """
 
 import argparse
@@ -57,11 +65,16 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("shapes", nargs="*", default=SHAPES,
                     help="NxPxM:COUNT, default: " + " ".join(SHAPES))
+    ap.add_argument("--labels", action="store_true",
+                    help="print one label line per sample")
     args = ap.parse_args(argv)
     for spec in args.shapes:
         shape, count = spec.split(":")
         n, p, m = (int(x) for x in shape.split("x"))
         labels, ms = run_shape(n, p, m, int(count))
+        if args.labels:
+            for i, (kind, residual, points, span) in enumerate(labels):
+                print(f"{shape}\t{i}\t{kind}\t{points}\t{span}\t{residual}")
         kinds = Counter(kind for kind, *_ in labels)
         digest = hashlib.sha256(
             "\n".join(map(repr, labels)).encode()).hexdigest()

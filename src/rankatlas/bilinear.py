@@ -77,10 +77,8 @@ class BilinearMap:
             if key not in payload:
                 raise ValueError(f"bilinear map: missing field '{key}'")
         a, b, c = int(payload["a"]), int(payload["b"]), int(payload["c"])
-        arr = np.asarray(payload["coeffs"], dtype=float)
-        if arr.size != a * b * c:
-            raise ValueError("coeffs length does not match a*b*c")
-        return cls(arr.reshape(c, a, b))
+        # same layout and checks as a c x a x b tensor: numbers, finite
+        return cls(Tensor3.from_flat(a, b, c, payload["coeffs"]).data)
 
 
 def _cd_conj(z: np.ndarray) -> np.ndarray:

@@ -8,8 +8,8 @@ explicit p-term decomposition certifying rank == p.  At the corner
 p = 2n - 1 of m = 3 one certified count of the complex rank-drop points
 supplies them as its real roots, and fewer than p real roots give
 rank > p.  Elsewhere, and where the count does not certify, one rank-drop
-search supplies them, and only a search that finds no point runs the
-full-column-rank margin, whose positive value gives rank > p.  Anything
+search supplies them, and only a search that ran and found no point runs
+the full-column-rank margin, whose positive value gives rank > p.  Anything
 else is Inconclusive.
 """
 
@@ -140,8 +140,10 @@ def phi(a, b, dims: ProblemDims) -> np.ndarray:
 class CertifyBudget:
     margin_restarts: int = 40
     margin_iters: int = 500
+    # unused: a search is one complete solve, without restarts or rounds;
+    # kept while perfbench builds budgets with them (ROADMAP item 13)
     search_restarts: int = 300
-    search_rounds: int = 5  # unused; goes with ROADMAP item 8's benchmark
+    search_rounds: int = 5
 
     def __post_init__(self):
         _require_ints(self, ("margin_restarts", "margin_iters",
@@ -327,7 +329,9 @@ def certify(T: Tensor3, budget: CertifyBudget | None = None,
     Elsewhere, and at the corner when the count does not certify, rank > p
     means full column rank of W on the whole sphere, so a found point
     (sigma_n / sigma_1 below ``pencil.TOL_RANKDROP``) rules it out and the
-    verdict is Inconclusive.  Only a search that finds no point runs the
+    verdict is Inconclusive.  So is it, with the diagnostic ``search:
+    "none"``, where no search ran (n^k above ``pencil.MAX_KRON``, with
+    k = u - n + 1).  Only a search that ran and found no point runs the
     margin estimate ``afcr_margin_info``: alternating minimisation of
     |M(a, W) b| over unit a and unit b from ``margin_restarts`` starts in
     one batch, each half-step an exact smallest-singular-vector solve,
@@ -351,8 +355,9 @@ def certify(T: Tensor3, budget: CertifyBudget | None = None,
             diagnostics["roots_found"] = roots.roots_found
             diagnostics["roots_real"] = roots.roots_real
     if roots is None:
-        found = rank_drop_search(W, dims, seed=rng,
-                                 restarts=budget.search_restarts)
+        found = rank_drop_search(W, dims, seed=rng)
+        if found is None:  # no solver for this shape: nothing was searched
+            return Inconclusive(diagnostics={**diagnostics, "search": "none"})
     else:  # the certified real roots are every real rank-drop point
         real = roots.count.roots[roots.count.real].real
         found = _kernel_points(W, real)

@@ -260,6 +260,8 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError("config must be a JSON object")
         budget = payload.pop("certify_budget", None)
         cfg = cls(**payload) if budget is None else cls(
             certify_budget=CertifyBudget(**budget), **payload)

@@ -9,6 +9,7 @@ rank below n (and where), or is the column rank full on the whole sphere
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -80,7 +81,10 @@ class Tensor3:
     def from_flat(cls, d1: int, d2: int, d3: int, flat) -> "Tensor3":
         if min(d1, d2, d3) < 1:
             raise ValueError(f"dimensions must be positive, got {d1} {d2} {d3}")
-        arr = np.asarray(flat, dtype=float)
+        try:
+            arr = np.asarray(flat, dtype=float)
+        except TypeError as exc:
+            raise ValueError(f"flat data must be numbers: {exc}") from None
         if arr.size != d1 * d2 * d3:
             raise ValueError(
                 f"flat data has {arr.size} entries, expected {d1 * d2 * d3}")
@@ -314,7 +318,8 @@ def kernel_vector_psi(a, Y: Tensor3, rows) -> np.ndarray:
 
 LINES = 40  # square-pencil lines probed by one rank-drop search
 MARGIN_PROBE_LINES = 30  # square-pencil lines probed for margin candidates
-SLICES = 8  # random 3-dim slices per search of an (n+1) x n, m > 3 pencil
+SLICES = 8  # random (k+1)-dim slices per search of a pencil with m > k + 1
+MAX_KRON = 512  # largest n^k of the Kronecker eigenproblem a search solves
 DEDUP_TOL = 1e-6  # distance below which two unit points are one
 TOL_RANKDROP = 1e-8  # sigma_n / sigma_1 below which a is a rank-drop point
 TOL_MARGIN = 1e-6  # normalised margin above which a pencil has full rank
@@ -427,54 +432,76 @@ def _realified(A: np.ndarray) -> np.ndarray:
     return np.block([[A.real, -A.imag], [A.imag, A.real]])
 
 
-def _two_param_candidates(Y: Tensor3, rng, real_x: bool):
-    """Compression and eigenvalue step of the two-parameter solver.
+def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """np.kron of two stacks of matrices, pair by pair."""
+    (p, q), (r, s) = A.shape[-2:], B.shape[-2:]
+    return (A[..., :, None, :, None] * B[..., None, :, None, :]).reshape(
+        A.shape[:-2] + (p * r, q * s))
 
-    (Z1 + x Z2 + y Z3) b = 0, with Z the slices of Y in a random orthonormal
-    basis R, is compressed by two random n x u projections into a pair of
-    square two-parameter eigenproblems sharing (x, y), solved through their
-    Kronecker operator determinants Delta0, Delta1.  Returns R, Delta0 and
-    the finite candidates (x, y), spurious compression roots among them.
-    With ``real_x`` only real x are followed; otherwise each y comes with
-    its conjugate, from the realified pencils.  Raises LinAlgError when an
-    eigenvalue solve fails.
-    """
+
+def _operator_det(V: np.ndarray) -> np.ndarray:
+    """Operator determinant of the k x k block array V (..., k, k, n, n):
+    the sum of sgn(s) V[0, s(0)] x ... x V[k-1, s(k-1)] over permutations
+    s, with x the Kronecker product."""
+    return sum((-1) ** sum(a > b for a, b in itertools.combinations(s, 2))
+               * functools.reduce(_kron, (V[..., i, j, :, :]
+                                          for i, j in enumerate(s)))
+               for s in itertools.permutations(range(V.shape[-3])))
+
+
+def _slice_candidates(Y: Tensor3, rng, real_x: bool):
+    """Candidates x of the k-parameter solver for a (k+1)-slice pencil with
+    u = n + k - 1 rows: M(1, x) b = 0 in a random orthonormal basis R of
+    the slices, compressed by k random n x u projections into k square
+    k-parameter eigenproblems.  x_1 solves Delta1 z = x_1 Delta0 z, Delta
+    their Kronecker operator determinants (Atkinson); at each x_1 the
+    first k-1 compressions are solved the same way, one batched eigenvalue
+    call per level, down to a square pencil for x_k.  Returns R, Delta0
+    and the finite x, spurious compression roots among them.  With
+    ``real_x`` only real x_1 ... x_(k-1) are followed; otherwise levels
+    below the first solve realified pencils, so that each root comes with
+    its conjugate.  Raises LinAlgError when an eigenvalue solve fails."""
     m, u, n = Y.d3, Y.d1, Y.d2
-    if m != 3 or u <= n or u > 2 * n:
-        raise ValueError("two-parameter path needs m == 3 and n < u <= 2n")
-    R = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    k = m - 1
+    R = np.linalg.qr(rng.standard_normal((m, m)))[0]
     Z = np.einsum("kl,lij->kij", R, Y.data)
-    P1 = rng.standard_normal((n, u))
-    P2 = rng.standard_normal((n, u))
-    A1, B1, C1 = P1 @ Z[0], P1 @ Z[1], P1 @ Z[2]
-    A2, B2, C2 = P2 @ Z[0], P2 @ Z[1], P2 @ Z[2]
-    D0 = np.kron(B1, C2) - np.kron(C1, B2)
-    D1 = np.kron(C1, A2) - np.kron(A1, C2)
-    al, be = _pencil_eigvals(D1, D0)
-    finite = np.abs(be) >= 1e-10 * np.maximum(1.0, np.abs(al))
-    x = al[finite] / be[finite]
-    if real_x:  # (1, x, y) can only be real with real x
-        x = x[np.abs(x.imag) <= 1e-7 * (1.0 + np.abs(x.real))].real
-        al, be = _pencil_eigvals(A1 + x[:, None, None] * B1, -C1)
-    else:
-        al, be = _pencil_eigvals(_realified(A1 + x[:, None, None] * B1),
-                                 _realified(-C1 + 0j))
-    finite = np.abs(be) >= 1e-10 * np.maximum(1.0, np.abs(al))
-    y = al[finite] / be[finite]
-    x = np.broadcast_to(x[:, None], al.shape)[finite]
-    return R, D0, x, y
+    P = rng.standard_normal((k, n, u))
+    # V[r, i, j]: compression i of slice j, on branch r of the roots so far
+    V = np.array([[[Pi @ Zj for Zj in Z] for Pi in P]])
+    X = np.empty((1, 0))
+    for level in range(k):
+        last = level == k - 1
+        if last:  # one parameter left: a square pencil
+            A, B = V[:, 0, 0], -V[:, 0, 1]
+        else:
+            A = _operator_det(np.concatenate([-V[:, :, :1], V[:, :, 2:]], 2))
+            B = _operator_det(V[:, :, 1:])
+            D0 = B[0] if level == 0 else D0
+        if level > 0 and not real_x:
+            A, B = _realified(A + 0j), _realified(B + 0j)
+        al, be = _pencil_eigvals(A, B)
+        finite = np.abs(be) >= 1e-10 * np.maximum(1.0, np.abs(al))
+        branch, x = np.nonzero(finite)[0], al[finite] / be[finite]
+        if real_x and not last:  # a real root needs this parameter real
+            keep = np.abs(x.imag) <= 1e-7 * (1.0 + np.abs(x.real))
+            branch, x = branch[keep], x[keep].real
+        X = np.column_stack([X[branch], x])
+        if not last:  # x into all compressions but the last
+            V = V[branch, :-1]
+            V = np.concatenate([V[:, :, :1] + x[:, None, None, None, None]
+                                * V[:, :, 1:2], V[:, :, 2:]], axis=2)
+    return R, D0, X
 
 
-def _two_param_roots(Y: Tensor3, rng):
-    """Unit real candidates of a 3-slice rectangular pencil: every isolated
-    real rank-drop point, and spurious compression roots, which the
-    sigma_n / sigma_1 test of ``_kernel_points`` rejects."""
+def _slice_roots(Y: Tensor3, rng):
+    """Unit real candidates of ``_slice_candidates``: every isolated real
+    rank-drop point, and spurious roots, which ``_kernel_points`` rejects."""
     try:
-        R, _, x, y = _two_param_candidates(Y, rng, real_x=True)
+        R, _, X = _slice_candidates(Y, rng, real_x=True)
     except np.linalg.LinAlgError:
-        return np.empty((0, 3))
-    a_rot = np.stack([np.ones_like(x), x, y.real], axis=1)
-    real = np.abs(y.imag) <= 1e-7 * np.max(np.abs(a_rot), axis=1)
+        return np.empty((0, Y.d3))
+    a_rot = np.column_stack([np.ones(len(X)), X.real])
+    real = np.abs(X[:, -1].imag) <= 1e-7 * np.max(np.abs(a_rot), axis=1)
     a = a_rot[real] @ R
     return a / np.linalg.norm(a, axis=1, keepdims=True)
 
@@ -523,7 +550,7 @@ def corner_root_count(Y: Tensor3, seed: int | np.random.Generator = 0
     """Every complex rank-drop point of a 3-slice (n+1) x n pencil, each
     certified in its own ball, or None when the count cannot be certified.
 
-    The candidates of the two-parameter solver whose complex
+    The complex candidates of ``_slice_candidates`` whose
     sigma_n / sigma_1 is small are Newton-polished on the square system
     M(1, x, y) b = 0, b_k = 1 (k the largest entry of b, (1, x, y) an
     affine chart chosen to keep every candidate far from infinity) and
@@ -547,7 +574,7 @@ def corner_root_count(Y: Tensor3, seed: int | np.random.Generator = 0
     Y = _binary_scaled(Y)[0]
     try:
         with np.errstate(all="ignore"):
-            R, D0, x, y = _two_param_candidates(Y, rng, real_x=False)
+            R, D0, X = _slice_candidates(Y, rng, real_x=False)
             s = np.linalg.svd(D0, compute_uv=False)
             if not s[-1] > 1e-12 * s[0]:
                 return None
@@ -555,7 +582,7 @@ def corner_root_count(Y: Tensor3, seed: int | np.random.Generator = 0
             # below: ``@`` and the default argsort would load 0.5 MB of
             # complex BLAS and SIMD sort code that nothing else runs
             a = np.einsum("rk,kl->rl",
-                          np.column_stack([np.ones_like(x), x, y]), R)
+                          np.column_stack([np.ones(len(X)), X]), R)
             a /= np.linalg.norm(a, axis=1, keepdims=True)
             _, s, Vh = np.linalg.svd(_realified(_pencils(a, Y)))
             near = s[:, -1] < 1e-6 * s[:, 0]
@@ -607,57 +634,29 @@ def corner_root_count(Y: Tensor3, seed: int | np.random.Generator = 0
     return RootCount(degree=degree, roots=a, real=real, radii=radii)
 
 
-def _multistart_roots(Y: Tensor3, rng, restarts: int):
-    """Batched Gauss-Newton on the kernel equation M(a, Y) b = 0 with
-    |a| = |b| = 1; heuristic, used when no structured solver applies.
-    Returns the unit a of every start, converged or not.
-
-    It starts from ``restarts`` random unit a, with b the last right
-    singular vector of M(a).  Each step is the minimum-norm solution of the
-    linearization [sum_k Y_k b e_k^T | M(a)] (da, db) = -M(a) b with
-    da . a = db . b = 0, followed by renormalisation of a and b.
-    """
-    m, u, n = Y.d3, Y.d1, Y.d2
-    a = rng.standard_normal((restarts, m))
-    a /= np.linalg.norm(a, axis=1, keepdims=True)
-    b = np.linalg.svd(_pencils(a, Y))[2][:, n - 1]
-    J = np.zeros((len(a), u + 2, m + n))
-    for _ in range(30):  # nearly every start converges within 10 steps
-        M = _pencils(a, Y)
-        F = np.einsum("rij,rj->ri", M, b)
-        if np.all(np.linalg.norm(F, axis=1) < 1e-15):
-            break
-        J[:, :u, :m] = np.einsum("kij,rj->rik", Y.data, b)
-        J[:, :u, m:] = M
-        J[:, u, :m] = a
-        J[:, u + 1, m:] = b
-        step = np.einsum("rij,rj->ri", np.linalg.pinv(J)[:, :, :u], F)
-        a, b = a - step[:, :m], b - step[:, m:]
-        a /= np.linalg.norm(a, axis=1, keepdims=True)
-        b /= np.linalg.norm(b, axis=1, keepdims=True)
-    return a
-
-
 def _structured_roots(Y: Tensor3, rng, lines: int):
-    """Unit rank-drop candidates from the square-pencil or the
-    two-parameter solver, or None when neither applies to the shape of Y.
-    No candidate is tested here: ``_kernel_points`` keeps the rank-drop
-    points among them, and ``afcr_margin_info`` starts from the best.  The
-    slices a = H c of an (n+1) x n pencil have orthonormal H, so
-    |a| = |c|."""
+    """Unit rank-drop candidates of Y, or None when no solver applies to
+    its shape, by the codimension k = u - n + 1 of the locus: k = 1 on
+    ``lines`` random lines; k + 1 = m by the k-parameter solver; k + 1 < m
+    by that solver on ``SLICES`` random (k+1)-dim slices a = H c (H
+    orthonormal, so |a| = |c|); none for k > m - 1, an empty locus for
+    generic Y, or n^k above ``MAX_KRON``.  No candidate is tested here:
+    ``_kernel_points`` keeps the rank-drop points among them, and
+    ``afcr_margin_info`` starts from the best."""
     u, n, m = Y.d1, Y.d2, Y.d3
-    if u == n:
+    k = u - n + 1
+    if k == 1:
         return _square_line_roots(Y, rng, lines)
-    if m == 3 and u <= 2 * n:
-        return _two_param_roots(Y, rng)
-    if m > 3 and u == n + 1:
-        found = []
-        for _ in range(SLICES):
-            H = np.linalg.qr(rng.standard_normal((m, 3)))[0]
-            Z = Tensor3(np.einsum("kc,kij->cij", H, Y.data))
-            found.append(_two_param_roots(Z, rng) @ H.T)
-        return np.concatenate(found)
-    return None
+    if k > m - 1 or n ** k > MAX_KRON:
+        return None
+    if m == k + 1:
+        return _slice_roots(Y, rng)
+    found = []
+    for _ in range(SLICES):
+        H = np.linalg.qr(rng.standard_normal((m, k + 1)))[0]
+        Z = Tensor3(np.einsum("kc,kij->cij", H, Y.data))
+        found.append(_slice_roots(Z, rng) @ H.T)
+    return np.concatenate(found)
 
 
 def _dedup_points(P: np.ndarray) -> np.ndarray:
@@ -675,21 +674,16 @@ def _dedup_points(P: np.ndarray) -> np.ndarray:
 
 
 def rank_drop_search(Y: Tensor3, dims: ProblemDims | None = None,
-                     seed: int | np.random.Generator = 0, *,
-                     restarts: int = 300) -> list[RankDropPoint]:
+                     seed: int | np.random.Generator = 0
+                     ) -> list[RankDropPoint] | None:
     """Hunt for unit vectors a with sigma_n / sigma_1 of M(a, Y) below
-    ``TOL_RANKDROP``.
+    ``TOL_RANKDROP``, or None when no solver applies to the shape of Y.
 
-    Square pencils (u == n) are handled by real generalized eigenvalues on
-    LINES random lines; 3-slice rectangular pencils by the complete
-    two-parameter eigenvalue reduction; (n+1) x n pencils with m > 3
-    slices, whose locus has codimension 2, by that reduction on SLICES
-    random real 3-dim slices; anything else by batched Gauss-Newton on
-    M(a, Y) b = 0 from ``restarts`` random starts.  The solvers return
-    candidates only; the rank-drop test runs once, on all of them, in
-    ``_kernel_points``.  One point is returned per kernel basis vector.  An
-    empty result means the search failed, not that no points exist: a real
-    curve of the locus can miss a real slice.
+    ``_structured_roots`` supplies the candidates, dispatched on the
+    codimension k = u - n + 1 of the locus, and ``_kernel_points`` runs the
+    rank-drop test once, on all of them, returning one point per kernel
+    basis vector.  An empty list means the search failed, not that no
+    points exist: a real component of the locus can miss a real slice.
     """
     rng = np.random.default_rng(seed)
     u, n, m = Y.d1, Y.d2, Y.d3
@@ -698,9 +692,7 @@ def rank_drop_search(Y: Tensor3, dims: ProblemDims | None = None,
     if dims is not None and (dims.u, dims.n, dims.m) != (u, n, m):
         raise ValueError(f"dims {dims} do not match tensor of size {u}x{n}x{m}")
     raw = _structured_roots(Y, rng, LINES)
-    if raw is None:
-        raw = _multistart_roots(Y, rng, restarts)
-    return _kernel_points(Y, raw)
+    return None if raw is None else _kernel_points(Y, raw)
 
 
 def _kernel_points(Y: Tensor3, rows) -> list[RankDropPoint]:
@@ -732,9 +724,9 @@ def afcr_margin_info(Y: Tensor3, budget: MarginBudget | None = None,
     singular vector of M(a), then a the last right singular vector of the
     u x m matrix [Y_1 b ... Y_m b].  Each half-step is an exact
     minimisation, so no start's value sigma_n(M(a)) rises.  Start 0 is the
-    best of the unit vectors e_k and the raw structured candidates (line
-    roots / two-parameter roots, with no rank-drop test: only their
-    sigma_n is compared), so that genuinely singular pencils report an
+    best of the unit vectors e_k and the raw candidates of
+    ``_structured_roots`` (no rank-drop test: only their sigma_n is
+    compared), so that genuinely singular pencils report an
     essentially zero margin; the others are random.  The loop stops when
     the best value is below 1e-15, when no start lowers its value by more
     than a relative 1e-12, or after ``budget.iters`` rounds.  The result is

@@ -3,7 +3,7 @@ import importlib
 import numpy as np
 import pytest
 
-from rankatlas.bilinear import as_tensor, hypercomplex_mult
+from rankatlas.bilinear import as_tensor, hypercomplex_mult, restrict
 from rankatlas.certify import (
     CertifyBudget,
     Inconclusive,
@@ -312,19 +312,44 @@ class TestCertify:
                 assert len(points[0]) in (2, 4)
                 assert verdict.roots.roots_real == len(points[0])
 
+    def test_shape_above_the_cap_is_not_searched(self, monkeypatch):
+        # 5x17x5: the 8 x 5 pencil has k = 4 and n^k = 625 above
+        # pencil.MAX_KRON, so no solver runs, and the margin estimate must
+        # not decide rank > p on a pencil that was never searched.  The
+        # last tensor is built from restrict(octonion, 5, 5), whose pencil
+        # has full column rank everywhere: rank > p, yet Inconclusive
+        certify_mod = importlib.import_module("rankatlas.certify")
+
+        def no_margin(*args, **kwargs):
+            raise AssertionError("the margin ran without a search")
+
+        monkeypatch.setattr(certify_mod, "afcr_margin_info", no_margin)
+        rng = np.random.default_rng(64)
+        Q, G = (np.linalg.qr(rng.standard_normal((5, 5)))[0]
+                for _ in range(2))
+        Y = as_tensor(restrict(hypercomplex_mult(8), 5, 5)).data
+        fl1 = np.hstack(list(np.einsum("kl,lij,jc->kic", Q, Y, G)))
+        F = np.vstack([np.eye(17), -np.linalg.solve(fl1[:, 17:],
+                                                    fl1[:, :17])])
+        tensors = [Tensor3(np.random.default_rng([63, i]).standard_normal(
+            (5, 5, 17))) for i in range(2)] + [tensor_from_fl2(F, 5, 5)]
+        for T in tensors:
+            verdict = certify(T, seed=0)
+            assert isinstance(verdict, Inconclusive)
+            assert verdict.diagnostics == {"search": "none"}
+
     def test_corner_makes_one_two_parameter_solve(self, monkeypatch):
         # the root count's solve is the only one: its real roots are the
         # points a rank-p certificate is assembled from
         pencil_mod = importlib.import_module("rankatlas.pencil")
-        solve = pencil_mod._two_param_candidates
+        solve = pencil_mod._slice_candidates
         calls = []
 
         def counting_solve(*args, **kwargs):
             calls.append(1)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(pencil_mod, "_two_param_candidates",
-                            counting_solve)
+        monkeypatch.setattr(pencil_mod, "_slice_candidates", counting_solve)
         rect = Tensor3(np.random.default_rng(14).standard_normal((3, 3, 5)))
         planted = rank_terms_tensor(np.random.default_rng(41), 3, 5, 3, 5)
         for T, kind in ((rect, "RankExceedsP"), (planted, "RankP")):

@@ -247,6 +247,16 @@ class TestExperimentCommand:
         assert err.startswith("error: bad config")
 
 
+    @pytest.mark.parametrize("text", ["null", "3", "[1, 2]"])
+    def test_config_that_is_not_an_object(self, capsys, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code, _, err = invoke(capsys, "experiment", str(path))
+        assert code == 2
+        assert err.startswith("error: bad config")
+        assert "config must be a JSON object" in err
+
+
 class TestUsage:
     def test_unknown_flag(self, capsys):
         code, _, _ = invoke(capsys, "trank", "3", "3", "5", "--bogus")
@@ -301,6 +311,18 @@ class TestInputErrors:
         code, _, err = invoke(capsys, command, str(path))
         assert code == 2
         assert err.startswith("error: ") and "missing field 'a'" in err
+
+    @pytest.mark.parametrize("command", ["certify", "afcr"])
+    @pytest.mark.parametrize("payload", [
+        {"dims": [1, 1, 1], "data": {"a": 1}},
+        {"a": 1, "b": 1, "c": 1, "coeffs": {"a": 1}},
+    ])
+    def test_non_numeric_data(self, capsys, tmp_path, command, payload):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = invoke(capsys, command, str(path))
+        assert code == 2
+        assert err.startswith("error: ") and "must be numbers" in err
 
     def test_make_bilinear_unwritable_out(self, capsys, tmp_path):
         self.assert_input_error(

@@ -9,9 +9,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # One planted tensor per solver path of the rank-drop search: 3x6x3 takes
-# the square-pencil path, 3x5x3 the two-parameter path, 4x11x4 the
-# two-parameter path on 3-dim slices and 4x10x4 the Gauss-Newton multistart
-# path.  A Gaussian 3x5x3 tensor is decided by the certified root count.
+# the square-pencil path, 3x5x3 the k = 2 solver on the whole pencil,
+# 4x11x4 the k = 2 solver on 3-dim slices and 4x10x4 the k = 3 solver on
+# the whole pencil.  A Gaussian 3x5x3 tensor is decided by the certified root count.
 # The bilinear-map margin is the pencil margin, and runs on numpy alone too,
 # as does the ALS fit.
 SCRIPT = """

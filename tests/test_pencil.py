@@ -347,12 +347,8 @@ class TestRankDropSearch:
         b = [tuple(p.a) for p in rank_drop_search(Y, seed=5)]
         assert a == b
 
-    def test_sliced_path(self, monkeypatch):
-        # four slices, u = n + 1: the two-parameter solver on 3-dim slices
-        def no_multistart(*args):
-            raise AssertionError("the multistart ran")
-
-        monkeypatch.setattr(pencil, "_multistart_roots", no_multistart)
+    def test_sliced_path(self):
+        # four slices, u = n + 1: the k = 2 solver on 3-dim slices
         rng = np.random.default_rng(20)
         Y = Tensor3(rng.standard_normal((4, 5, 4)))
         pts = rank_drop_search(Y, seed=1)
@@ -362,20 +358,101 @@ class TestRankDropSearch:
             M = contract_pencil(p.a, Y)
             assert np.linalg.norm(M @ p.b) <= 1e-6 * Y.norm()
 
-    def test_multistart_path(self):
-        # four slices, u = n + 2: only the budgeted multistart applies
+    def test_three_parameter_path(self):
+        # four slices, u = n + 2: the locus has codimension k = 3 and is
+        # finite in P^3, so every seed's compressions find the same points
         rng = np.random.default_rng(21)
         Y = Tensor3(rng.standard_normal((4, 6, 4)))
-        pts = rank_drop_search(Y, seed=1, restarts=25)
-        assert pts
-        for p in pts:
-            assert p.quality < 1e-8
-            M = contract_pencil(p.a, Y)
-            assert np.linalg.norm(M @ p.b) <= 1e-6 * Y.norm()
+        sets = []
+        for seed in range(3):
+            pts = rank_drop_search(Y, seed=seed)
+            assert pts
+            for p in pts:
+                assert p.quality < 1e-8
+                M = contract_pencil(p.a, Y)
+                assert np.linalg.norm(M @ p.b) <= 1e-6 * Y.norm()
+            sets.append(np.array([p.a for p in pts]))
+        for other in sets[1:]:
+            assert other.shape == sets[0].shape
+            gap = np.linalg.norm(other[:, None] - sets[0][None], axis=2)
+            assert gap.min(axis=0).max() < pencil.DEDUP_TOL
+            assert gap.min(axis=1).max() < pencil.DEDUP_TOL
+
+    @pytest.mark.parametrize("i", range(4))
+    def test_four_parameter_path(self, i):
+        # five slices, u = n + 3 = 6: the locus in P^4 is finite, of
+        # degree C(6, 2) = 15, so its real points are odd in number, and
+        # every seed finds the same number of them
+        Y = Tensor3(np.random.default_rng([62, i]).standard_normal((5, 6, 3)))
+        counts = set()
+        for seed in range(2):
+            pts = rank_drop_search(Y, seed=seed)
+            for p in pts:
+                assert p.quality < 1e-8
+                M = contract_pencil(p.a, Y)
+                assert np.linalg.norm(M @ p.b) <= 1e-6 * Y.norm()
+            counts.add(len(pts))
+        assert len(counts) == 1 and counts.pop() % 2 == 1
+
+    @pytest.mark.parametrize("shape", [(4, 7, 3), (5, 8, 5), (3, 5, 3)])
+    def test_shapes_without_a_solver(self, shape):
+        # five 8 x 5 slices have k = 4 and n^k = 625 above MAX_KRON; the
+        # others have k > m - 1, an empty locus for generic slices
+        Y = Tensor3(np.random.default_rng(22).standard_normal(shape))
+        u, n, m = Y.d1, Y.d2, Y.d3
+        k = u - n + 1
+        assert k > m - 1 or n ** k > pencil.MAX_KRON
+        assert rank_drop_search(Y, seed=0) is None
+        assert pencil._structured_roots(Y, np.random.default_rng(0),
+                                        pencil.LINES) is None
 
     def test_wide_pencil_rejected(self):
         with pytest.raises(ValueError):
             rank_drop_search(Tensor3(np.zeros((2, 2, 3))))
+
+
+def two_param_reference(Y, rng, real_x):
+    # the two-parameter formulas the k-parameter solver generalises, as
+    # they were written for m = 3: its k = 2 case must draw the same
+    # numbers in the same order and give the same candidates bit for bit
+    u, n = Y.d1, Y.d2
+    R = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    Z = np.einsum("kl,lij->kij", R, Y.data)
+    P1 = rng.standard_normal((n, u))
+    P2 = rng.standard_normal((n, u))
+    A1, B1, C1 = P1 @ Z[0], P1 @ Z[1], P1 @ Z[2]
+    A2, B2, C2 = P2 @ Z[0], P2 @ Z[1], P2 @ Z[2]
+    D0 = np.kron(B1, C2) - np.kron(C1, B2)
+    D1 = np.kron(C1, A2) - np.kron(A1, C2)
+    al, be = pencil._pencil_eigvals(D1, D0)
+    finite = np.abs(be) >= 1e-10 * np.maximum(1.0, np.abs(al))
+    x = al[finite] / be[finite]
+    if real_x:
+        x = x[np.abs(x.imag) <= 1e-7 * (1.0 + np.abs(x.real))].real
+        al, be = pencil._pencil_eigvals(A1 + x[:, None, None] * B1, -C1)
+    else:
+        al, be = pencil._pencil_eigvals(
+            pencil._realified(A1 + x[:, None, None] * B1),
+            pencil._realified(-C1 + 0j))
+    finite = np.abs(be) >= 1e-10 * np.maximum(1.0, np.abs(al))
+    y = al[finite] / be[finite]
+    x = np.broadcast_to(x[:, None], al.shape)[finite]
+    return R, D0, x, y
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("real_x", [True, False])
+def test_two_parameter_case_is_bit_identical(n, real_x):
+    for trial in range(3):
+        Y = Tensor3(np.random.default_rng([60, n, trial]).standard_normal(
+            (3, n + 1, n)))
+        R, D0, x, y = two_param_reference(Y, np.random.default_rng(trial),
+                                          real_x)
+        R2, D02, X = pencil._slice_candidates(
+            Y, np.random.default_rng(trial), real_x)
+        assert np.array_equal(R, R2)
+        assert np.array_equal(D0, D02)
+        assert np.array_equal(X, np.column_stack([x, y]))
 
 
 class TestCornerRootCount:
@@ -487,7 +564,7 @@ def test_margin_info_value():
 
 
 def test_search_budget_defaults():
-    defaults = rank_drop_search.__kwdefaults__
-    assert defaults == {"restarts": 300}
+    assert rank_drop_search.__kwdefaults__ is None
+    assert pencil.SLICES == 8 and pencil.MAX_KRON == 512
     assert pencil.TOL_RANKDROP == 1e-8
     assert pencil.DEDUP_TOL == 1e-6 and pencil.LINES == 40
