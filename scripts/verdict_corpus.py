@@ -2,7 +2,7 @@
 verdict histogram, the median certify time and a digest of the verdicts.
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/verdict_corpus.py
-    OPENBLAS_NUM_THREADS=1 python3 scripts/verdict_corpus.py 4x10x4:20
+    OPENBLAS_NUM_THREADS=1 python3 scripts/verdict_corpus.py 5x13x4:20
 
 Run it from the root of a checkout; it imports rankatlas from that
 checkout's ``src/``.  A shape is ``NxPxM:COUNT``.  Tensor i of shape
@@ -39,7 +39,8 @@ sys.path.insert(0, str(ROOT / "src"))
 from rankatlas.certify import certify  # noqa: E402
 from rankatlas.pencil import Tensor3  # noqa: E402
 
-SHAPES = ("3x6x3:40", "4x12x4:20", "3x5x3:40", "4x7x3:20", "4x11x4:20")
+SHAPES = ("3x6x3:40", "4x12x4:20", "3x5x3:40", "4x7x3:20", "4x11x4:20",
+          "4x10x4:20", "5x17x5:5")
 
 
 def label(verdict):

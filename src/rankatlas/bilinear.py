@@ -76,9 +76,13 @@ class BilinearMap:
         for key in ("a", "b", "c", "coeffs"):
             if key not in payload:
                 raise ValueError(f"bilinear map: missing field '{key}'")
-        a, b, c = int(payload["a"]), int(payload["b"]), int(payload["c"])
+        for key in ("a", "b", "c"):
+            if type(payload[key]) is not int:
+                raise ValueError(f"bilinear map: '{key}' must be an int: "
+                                 f"{payload[key]!r}")
         # same layout and checks as a c x a x b tensor: numbers, finite
-        return cls(Tensor3.from_flat(a, b, c, payload["coeffs"]).data)
+        return cls(Tensor3.from_flat(payload["a"], payload["b"], payload["c"],
+                                     payload["coeffs"]).data)
 
 
 def _cd_conj(z: np.ndarray) -> np.ndarray:

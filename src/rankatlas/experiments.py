@@ -253,6 +253,14 @@ class ExperimentConfig:
     def __post_init__(self):
         _require_ints(self, ("n", "p", "m", "samples", "seed", "als_restarts",
                              "als_sweeps"))
+        for name in ("run_als", "include_timings"):
+            if type(getattr(self, name)) is not bool:
+                raise TypeError(f"{name} must be a bool: "
+                                f"{getattr(self, name)!r}")
+        for name in ("csv_path", "json_path"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise TypeError(f"{name} must be a string or null: "
+                                f"{getattr(self, name)!r}")
         if self.samples < 1:
             raise ValueError("sample count must be >= 1")
         ProblemDims(self.m, self.n, self.p)  # inside the certifiable window

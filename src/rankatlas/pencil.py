@@ -118,7 +118,11 @@ class Tensor3:
     @classmethod
     def from_json(cls, text: str) -> "Tensor3":
         payload = json.loads(text)
-        d1, d2, d3 = (int(x) for x in payload["dims"])
+        dims = payload["dims"]
+        if not (isinstance(dims, list) and len(dims) == 3
+                and all(type(d) is int for d in dims)):
+            raise ValueError(f"dims must be a list of three ints: {dims!r}")
+        d1, d2, d3 = dims
         if payload.get("layout", "slice-major") != "slice-major":
             raise ValueError(f"unsupported layout {payload.get('layout')!r}")
         return cls.from_flat(d1, d2, d3, payload["data"])
@@ -316,8 +320,7 @@ def kernel_vector_psi(a, Y: Tensor3, rows) -> np.ndarray:
 # -- rank-drop search ---------------------------------------------------------
 
 
-LINES = 40  # square-pencil lines probed by one rank-drop search
-MARGIN_PROBE_LINES = 30  # square-pencil lines probed for margin candidates
+LINES = 40  # random lines (2-dim slices) per search of a square pencil
 SLICES = 8  # random (k+1)-dim slices per search of a pencil with m > k + 1
 MAX_KRON = 512  # largest n^k of the Kronecker eigenproblem a search solves
 DEDUP_TOL = 1e-6  # distance below which two unit points are one
@@ -401,28 +404,6 @@ def _pencil_eigvals(A: np.ndarray, B: np.ndarray):
     return lam * np.cos(t) - np.sin(t), np.cos(t) + lam * np.sin(t)
 
 
-def _square_line_roots(Y: Tensor3, rng, lines: int):
-    """Unit real zeros of det M(a, Y) on random lines, via generalized
-    eigenvalues."""
-    ends = rng.standard_normal((lines, 2, Y.d3))
-    ends /= np.linalg.norm(ends, axis=2, keepdims=True)
-    try:
-        al, be = _pencil_eigvals(_pencils(ends[:, 0], Y),
-                                 -_pencils(ends[:, 1], Y))
-    except np.linalg.LinAlgError:
-        return np.empty((0, Y.d3))
-    scale = np.maximum(np.abs(al), np.abs(be))
-    keep = np.isfinite(scale) & (scale >= 1e-12)
-    line = np.nonzero(keep)[0]
-    al, be = al[keep] / scale[keep], be[keep] / scale[keep]
-    real = (np.abs(al.imag) <= 1e-9) & (np.abs(be.imag) <= 1e-9)
-    line = line[real]
-    a = be.real[real, None] * ends[line, 0] + al.real[real, None] * ends[line, 1]
-    norm = np.linalg.norm(a, axis=1, keepdims=True)
-    big = norm[:, 0] >= 1e-10
-    return a[big] / norm[big]
-
-
 def _realified(A: np.ndarray) -> np.ndarray:
     """[[Re A, -Im A], [Im A, Re A]] for complex r x c matrices A, stacked:
     it maps (Re v, Im v) to (Re Av, Im Av), has the singular values of A
@@ -449,26 +430,31 @@ def _operator_det(V: np.ndarray) -> np.ndarray:
                for s in itertools.permutations(range(V.shape[-3])))
 
 
-def _slice_candidates(Y: Tensor3, rng, real_x: bool):
-    """Candidates x of the k-parameter solver for a (k+1)-slice pencil with
-    u = n + k - 1 rows: M(1, x) b = 0 in a random orthonormal basis R of
-    the slices, compressed by k random n x u projections into k square
-    k-parameter eigenproblems.  x_1 solves Delta1 z = x_1 Delta0 z, Delta
-    their Kronecker operator determinants (Atkinson); at each x_1 the
-    first k-1 compressions are solved the same way, one batched eigenvalue
-    call per level, down to a square pencil for x_k.  Returns R, Delta0
-    and the finite x, spurious compression roots among them.  With
-    ``real_x`` only real x_1 ... x_(k-1) are followed; otherwise levels
-    below the first solve realified pencils, so that each root comes with
-    its conjugate.  Raises LinAlgError when an eigenvalue solve fails."""
+def _slice_candidates(Y: Tensor3, rng, slices: int, real_x: bool):
+    """Candidates x of the k-parameter solver on ``slices`` random
+    (k+1)-dim slices of a pencil with u = n + k - 1 rows, all in one batch.
+    Slice s is a = (1, x) R_s, R_s the first k + 1 rows of a random
+    orthogonal m x m matrix, so |a| = |(1, x)|; one slice of a pencil with
+    m = k + 1 is the whole pencil in a random basis.  On each slice
+    M(1, x) b = 0 is compressed by k random n x u projections into k
+    square k-parameter eigenproblems.  x_1 solves Delta1 z = x_1 Delta0 z,
+    Delta their Kronecker operator determinants (Atkinson); at each x_1
+    the first k-1 compressions are solved the same way, down to a square
+    pencil for x_k.  The branch axis carries the slice and then the roots
+    so far, so each level is one batched eigenvalue call over all slices.
+    Returns R, Delta0 of slice 0, the finite x, spurious compression roots
+    among them, and the slice of each x.  With ``real_x`` only real
+    x_1 ... x_(k-1) are followed; otherwise levels below the first solve
+    realified pencils, so that each root comes with its conjugate.  Raises
+    LinAlgError when an eigenvalue solve fails."""
     m, u, n = Y.d3, Y.d1, Y.d2
-    k = m - 1
-    R = np.linalg.qr(rng.standard_normal((m, m)))[0]
-    Z = np.einsum("kl,lij->kij", R, Y.data)
-    P = rng.standard_normal((k, n, u))
+    k = u - n + 1
+    R = np.linalg.qr(rng.standard_normal((slices, m, m)))[0][:, :k + 1]
+    Z = np.einsum("skl,lij->skij", R, Y.data)
+    P = rng.standard_normal((slices, k, n, u))
     # V[r, i, j]: compression i of slice j, on branch r of the roots so far
-    V = np.array([[[Pi @ Zj for Zj in Z] for Pi in P]])
-    X = np.empty((1, 0))
+    V = P[:, :, None] @ Z[:, None]
+    X, branches = np.empty((slices, 0)), np.arange(slices)
     for level in range(k):
         last = level == k - 1
         if last:  # one parameter left: a square pencil
@@ -476,7 +462,8 @@ def _slice_candidates(Y: Tensor3, rng, real_x: bool):
         else:
             A = _operator_det(np.concatenate([-V[:, :, :1], V[:, :, 2:]], 2))
             B = _operator_det(V[:, :, 1:])
-            D0 = B[0] if level == 0 else D0
+        if level == 0:
+            D0 = B[0]
         if level > 0 and not real_x:
             A, B = _realified(A + 0j), _realified(B + 0j)
         al, be = _pencil_eigvals(A, B)
@@ -485,25 +472,12 @@ def _slice_candidates(Y: Tensor3, rng, real_x: bool):
         if real_x and not last:  # a real root needs this parameter real
             keep = np.abs(x.imag) <= 1e-7 * (1.0 + np.abs(x.real))
             branch, x = branch[keep], x[keep].real
-        X = np.column_stack([X[branch], x])
+        X, branches = np.column_stack([X[branch], x]), branches[branch]
         if not last:  # x into all compressions but the last
             V = V[branch, :-1]
             V = np.concatenate([V[:, :, :1] + x[:, None, None, None, None]
                                 * V[:, :, 1:2], V[:, :, 2:]], axis=2)
-    return R, D0, X
-
-
-def _slice_roots(Y: Tensor3, rng):
-    """Unit real candidates of ``_slice_candidates``: every isolated real
-    rank-drop point, and spurious roots, which ``_kernel_points`` rejects."""
-    try:
-        R, _, X = _slice_candidates(Y, rng, real_x=True)
-    except np.linalg.LinAlgError:
-        return np.empty((0, Y.d3))
-    a_rot = np.column_stack([np.ones(len(X)), X.real])
-    real = np.abs(X[:, -1].imag) <= 1e-7 * np.max(np.abs(a_rot), axis=1)
-    a = a_rot[real] @ R
-    return a / np.linalg.norm(a, axis=1, keepdims=True)
+    return R, D0, X, branches
 
 
 def _kernel_system(Z: np.ndarray, z: np.ndarray, k: np.ndarray):
@@ -574,7 +548,7 @@ def corner_root_count(Y: Tensor3, seed: int | np.random.Generator = 0
     Y = _binary_scaled(Y)[0]
     try:
         with np.errstate(all="ignore"):
-            R, D0, X = _slice_candidates(Y, rng, real_x=False)
+            (R,), D0, X, _ = _slice_candidates(Y, rng, 1, real_x=False)
             s = np.linalg.svd(D0, compute_uv=False)
             if not s[-1] > 1e-12 * s[0]:
                 return None
@@ -634,29 +608,29 @@ def corner_root_count(Y: Tensor3, seed: int | np.random.Generator = 0
     return RootCount(degree=degree, roots=a, real=real, radii=radii)
 
 
-def _structured_roots(Y: Tensor3, rng, lines: int):
+def _structured_roots(Y: Tensor3, rng):
     """Unit rank-drop candidates of Y, or None when no solver applies to
-    its shape, by the codimension k = u - n + 1 of the locus: k = 1 on
-    ``lines`` random lines; k + 1 = m by the k-parameter solver; k + 1 < m
-    by that solver on ``SLICES`` random (k+1)-dim slices a = H c (H
-    orthonormal, so |a| = |c|); none for k > m - 1, an empty locus for
-    generic Y, or n^k above ``MAX_KRON``.  No candidate is tested here:
-    ``_kernel_points`` keeps the rank-drop points among them, and
-    ``afcr_margin_info`` starts from the best."""
+    its shape, from one call of ``_slice_candidates`` with the codimension
+    k = u - n + 1 of the locus: on 1 slice, the whole pencil, when
+    m = k + 1; on ``LINES`` random lines when k = 1 < m - 1; on ``SLICES``
+    random (k+1)-dim slices otherwise; none for k > m - 1, an empty locus
+    for generic Y, or n^k above ``MAX_KRON``.  The real roots are mapped
+    back to unit a; no candidate is tested here: ``_kernel_points`` keeps
+    the rank-drop points among them, and ``afcr_margin_info`` starts from
+    the best."""
     u, n, m = Y.d1, Y.d2, Y.d3
     k = u - n + 1
-    if k == 1:
-        return _square_line_roots(Y, rng, lines)
     if k > m - 1 or n ** k > MAX_KRON:
         return None
-    if m == k + 1:
-        return _slice_roots(Y, rng)
-    found = []
-    for _ in range(SLICES):
-        H = np.linalg.qr(rng.standard_normal((m, k + 1)))[0]
-        Z = Tensor3(np.einsum("kc,kij->cij", H, Y.data))
-        found.append(_slice_roots(Z, rng) @ H.T)
-    return np.concatenate(found)
+    slices = 1 if m == k + 1 else LINES if k == 1 else SLICES
+    try:
+        R, _, X, branches = _slice_candidates(Y, rng, slices, real_x=True)
+    except np.linalg.LinAlgError:
+        return np.empty((0, m))
+    c = np.column_stack([np.ones(len(X)), X.real])
+    real = np.abs(X[:, -1].imag) <= 1e-7 * np.max(np.abs(c), axis=1)
+    a = np.einsum("rc,rck->rk", c[real], R[branches[real]])
+    return a / np.linalg.norm(a, axis=1, keepdims=True)
 
 
 def _dedup_points(P: np.ndarray) -> np.ndarray:
@@ -679,11 +653,12 @@ def rank_drop_search(Y: Tensor3, dims: ProblemDims | None = None,
     """Hunt for unit vectors a with sigma_n / sigma_1 of M(a, Y) below
     ``TOL_RANKDROP``, or None when no solver applies to the shape of Y.
 
-    ``_structured_roots`` supplies the candidates, dispatched on the
-    codimension k = u - n + 1 of the locus, and ``_kernel_points`` runs the
-    rank-drop test once, on all of them, returning one point per kernel
-    basis vector.  An empty list means the search failed, not that no
-    points exist: a real component of the locus can miss a real slice.
+    ``_structured_roots`` supplies the candidates from one batched solve on
+    random (k+1)-dim slices, k = u - n + 1 the codimension of the locus,
+    and ``_kernel_points`` runs the rank-drop test once, on all of them,
+    returning one point per kernel basis vector.  An empty list means the
+    search failed, not that no points exist: a real component of the locus
+    can miss a real slice.
     """
     rng = np.random.default_rng(seed)
     u, n, m = Y.d1, Y.d2, Y.d3
@@ -691,7 +666,7 @@ def rank_drop_search(Y: Tensor3, dims: ProblemDims | None = None,
         raise ValueError(f"pencil must be tall: u={u} < n={n}")
     if dims is not None and (dims.u, dims.n, dims.m) != (u, n, m):
         raise ValueError(f"dims {dims} do not match tensor of size {u}x{n}x{m}")
-    raw = _structured_roots(Y, rng, LINES)
+    raw = _structured_roots(Y, rng)
     return None if raw is None else _kernel_points(Y, raw)
 
 
@@ -725,20 +700,21 @@ def afcr_margin_info(Y: Tensor3, budget: MarginBudget | None = None,
     u x m matrix [Y_1 b ... Y_m b].  Each half-step is an exact
     minimisation, so no start's value sigma_n(M(a)) rises.  Start 0 is the
     best of the unit vectors e_k and the raw candidates of
-    ``_structured_roots`` (no rank-drop test: only their sigma_n is
-    compared), so that genuinely singular pencils report an
-    essentially zero margin; the others are random.  The loop stops when
-    the best value is below 1e-15, when no start lowers its value by more
-    than a relative 1e-12, or after ``budget.iters`` rounds.  The result is
-    an upper estimate of the true margin: strictly positive values are
-    evidence of full column rank everywhere, not proof.
+    ``_structured_roots``, the search's one batched solve on its slices
+    (no rank-drop test: only their sigma_n is compared), so that genuinely
+    singular pencils report an essentially zero margin; the others are
+    random.  The loop stops when the best value is below 1e-15, when no
+    start lowers its value by more than a relative 1e-12, or after
+    ``budget.iters`` rounds.  The result is an upper estimate of the true
+    margin: strictly positive values are evidence of full column rank
+    everywhere, not proof.
     """
     budget = budget or MarginBudget()
     rng = np.random.default_rng(seed)
     u, n, m = Y.d1, Y.d2, Y.d3
     if u < n:
         raise ValueError(f"pencil must be tall: u={u} < n={n}")
-    roots = _structured_roots(Y, rng, MARGIN_PROBE_LINES)
+    roots = _structured_roots(Y, rng)
     candidates = np.vstack([np.eye(m)] + ([] if roots is None else [roots]))
     values = np.linalg.svd(_pencils(candidates, Y), compute_uv=False)[:, n - 1]
     a = rng.standard_normal((budget.restarts, m))

@@ -236,6 +236,10 @@ class TestExperimentCommand:
         {"n": 3.0},
         {"samples": True},
         {"certify_budget": {"residual_tol": 1.0}},  # the gates are fixed
+        {"run_als": "no"},
+        {"include_timings": 1},
+        {"csv_path": True},
+        {"json_path": 3},
     ])
     def test_malformed_values_are_a_bad_config(self, capsys, tmp_path,
                                                change):
@@ -323,6 +327,24 @@ class TestInputErrors:
         code, _, err = invoke(capsys, command, str(path))
         assert code == 2
         assert err.startswith("error: ") and "must be numbers" in err
+
+    @pytest.mark.parametrize("command", ["certify", "afcr"])
+    @pytest.mark.parametrize("payload", [
+        {"dims": 3, "data": [1.0]},
+        {"dims": [None, 1, 1], "data": [1.0]},
+        {"dims": [1, 1], "data": [1.0]},
+        {"dims": [3.7, 5, 3], "data": [1.0] * 45},
+        {"dims": [1, True, 1], "data": [1.0]},
+        {"a": None, "b": 1, "c": 1, "coeffs": [1.0]},
+        {"a": 1, "b": 1.5, "c": 1, "coeffs": [1.0]},
+        {"a": 1, "b": 1, "c": False, "coeffs": []},
+    ])
+    def test_sizes_must_be_ints(self, capsys, tmp_path, command, payload):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = invoke(capsys, command, str(path))
+        assert code == 2
+        assert err.startswith("error: ") and "must be" in err
 
     def test_make_bilinear_unwritable_out(self, capsys, tmp_path):
         self.assert_input_error(

@@ -8,10 +8,10 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# One planted tensor per solver path of the rank-drop search: 3x6x3 takes
-# the square-pencil path, 3x5x3 the k = 2 solver on the whole pencil,
-# 4x11x4 the k = 2 solver on 3-dim slices and 4x10x4 the k = 3 solver on
-# the whole pencil.  A Gaussian 3x5x3 tensor is decided by the certified root count.
+# One planted tensor per slice count of the rank-drop search's one batched
+# solver: 3x6x3 (k = 1) on 40 random lines, 3x5x3 (k = 2) and 4x10x4
+# (k = 3) on the whole pencil, 4x11x4 (k = 2) on eight 3-dim slices.  A
+# Gaussian 3x5x3 tensor is decided by the certified root count.
 # The bilinear-map margin is the pencil margin, and runs on numpy alone too,
 # as does the ALS fit.
 SCRIPT = """

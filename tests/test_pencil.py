@@ -403,8 +403,7 @@ class TestRankDropSearch:
         k = u - n + 1
         assert k > m - 1 or n ** k > pencil.MAX_KRON
         assert rank_drop_search(Y, seed=0) is None
-        assert pencil._structured_roots(Y, np.random.default_rng(0),
-                                        pencil.LINES) is None
+        assert pencil._structured_roots(Y, np.random.default_rng(0)) is None
 
     def test_wide_pencil_rejected(self):
         with pytest.raises(ValueError):
@@ -448,11 +447,31 @@ def test_two_parameter_case_is_bit_identical(n, real_x):
             (3, n + 1, n)))
         R, D0, x, y = two_param_reference(Y, np.random.default_rng(trial),
                                           real_x)
-        R2, D02, X = pencil._slice_candidates(
-            Y, np.random.default_rng(trial), real_x)
+        (R2,), D02, X, _ = pencil._slice_candidates(
+            Y, np.random.default_rng(trial), 1, real_x)
         assert np.array_equal(R, R2)
         assert np.array_equal(D0, D02)
         assert np.array_equal(X, np.column_stack([x, y]))
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 4), (4, 5, 4), (3, 4, 3)])
+def test_one_solver_call_per_search(monkeypatch, shape):
+    # a square pencil (its 40 lines), a sliced one (m = 4 > k + 1 = 3, its
+    # 8 planes) and a whole one are each solved in one batched call, by
+    # the search and by the margin's probe alike
+    solve = pencil._slice_candidates
+    calls = []
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(pencil, "_slice_candidates", counting_solve)
+    Y = Tensor3(np.random.default_rng(24).standard_normal(shape))
+    assert rank_drop_search(Y, seed=0) is not None
+    assert len(calls) == 1
+    afcr_margin_info(Y, MarginBudget(restarts=2, iters=2), seed=0)
+    assert len(calls) == 2
 
 
 class TestCornerRootCount:
