@@ -42,7 +42,6 @@ from .certify import (
     RankCertificate,
     RankExceedsP,
     RankP,
-    RootCountCertificate,
     certify,
     decompose,
     iota,

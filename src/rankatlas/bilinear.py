@@ -73,6 +73,8 @@ class BilinearMap:
     @classmethod
     def from_json(cls, text: str) -> "BilinearMap":
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError("bilinear map must be a JSON object")
         for key in ("a", "b", "c", "coeffs"):
             if key not in payload:
                 raise ValueError(f"bilinear map: missing field '{key}'")

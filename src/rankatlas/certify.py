@@ -40,7 +40,6 @@ __all__ = [
     "NotInVError",
     "CertifyBudget",
     "RankCertificate",
-    "RootCountCertificate",
     "RankP",
     "RankExceedsP",
     "Inconclusive",
@@ -59,7 +58,7 @@ __all__ = [
 # Fixed gates, so that no budget can loosen what a verdict means
 COND_LIMIT = 1e12     # condition number of the blocks sigma and nu invert
 COND_LIMIT_N = 1e10   # condition number of the certificate's N
-RESIDUAL_TOL = 1e-6   # pencil, matrix-equation and reconstruction residuals
+RESIDUAL_TOL = 1e-6   # matrix-equation and reconstruction residuals
 SPAN_RTOL = 1e-8      # relative threshold of the phi-column rank
 
 
@@ -158,9 +157,8 @@ class RankCertificate:
     phi images assemble the nonsingular change-of-basis N."""
 
     dims: ProblemDims
-    points: list  # list of (d_j, a_j) pairs, unit vectors
-    A: np.ndarray            # n x p, columns a_j
-    D: np.ndarray            # p x m, row j holds the coordinates of d_j
+    A: np.ndarray            # n x p, column j is the unit kernel vector a_j
+    D: np.ndarray            # p x m, row j is the unit point d_j
     N: np.ndarray            # p x p
     Q: np.ndarray            # N^{-1}
     residual: float          # relative Frobenius reconstruction error
@@ -175,38 +173,14 @@ class RankP:
 
 
 @dataclass(frozen=True)
-class RootCountCertificate:
-    """Witness that rank T > p at the corner p = 2n - 1 of m = 3: all
-    ``degree`` complex rank-drop points of W certified, fewer than p of
-    them real."""
-
-    p: int
-    count: RootCount
-
-    @property
-    def degree(self) -> int:
-        return self.count.degree
-
-    @property
-    def roots_found(self) -> int:
-        return len(self.count.roots)
-
-    @property
-    def roots_real(self) -> int:
-        return int(self.count.real.sum())
-
-    @property
-    def max_radius(self) -> float:
-        return float(self.count.radii.max())
-
-
-@dataclass(frozen=True)
 class RankExceedsP:
     """rank T > p, witnessed by exactly one of a best-found pencil margin
-    and a certified root count."""
+    and a certified root count at the corner p = 2n - 1 of m = 3: all
+    ``roots.degree`` complex rank-drop points of W, fewer than p of them
+    real."""
 
     margin: float | None = None
-    roots: RootCountCertificate | None = None
+    roots: RootCount | None = None
     kind: str = field(default="RankExceedsP", init=False)
 
     def __post_init__(self):
@@ -262,9 +236,8 @@ def _collect_certificate(T, W, dims, found, diagnostics):
     if span < dims.p:
         return None
     p, m = dims.p, dims.m
-    chosen = [(found[j].a, found[j].b) for j in piv]
-    A = np.column_stack([b for _, b in chosen])
-    D = np.array([d for d, _ in chosen])  # p x m
+    A = np.column_stack([found[j].b for j in piv])
+    D = np.array([found[j].a for j in piv])  # p x m
     N = Phi[:, piv]
     condN = np.linalg.cond(N)
     diagnostics["cond_N"] = float(condN)
@@ -272,13 +245,14 @@ def _collect_certificate(T, W, dims, found, diagnostics):
         return None
     Q = np.linalg.inv(N)
 
-    pencil_res = max(
-        float(np.linalg.norm(contract_pencil(d, W) @ b)) for d, b in chosen)
-    eq_res = float(np.linalg.norm(
-        sum(W.slice(k) @ A @ np.diag(D[:, k]) for k in range(m))))
+    # column j of sum_k W_k A diag(D_k) is M(d_j, W) a_j
+    point_res = np.array([np.linalg.norm(contract_pencil(d, W) @ b)
+                          for d, b in zip(D, A.T)])
+    pencil_res = float(point_res.max())
+    eq_res = float(np.linalg.norm(point_res))
     diagnostics["pencil_residual"] = pencil_res
     diagnostics["matrix_eq_residual"] = eq_res
-    if not max(pencil_res, eq_res) <= RESIDUAL_TOL:
+    if not eq_res <= RESIDUAL_TOL:
         return None
 
     top = flatten(T, 2)[:p, :]
@@ -287,9 +261,8 @@ def _collect_certificate(T, W, dims, found, diagnostics):
     diagnostics["residual"] = residual
     if not residual <= RESIDUAL_TOL:
         return None
-    return RankCertificate(
-        dims=dims, points=chosen, A=A, D=D, N=N, Q=Q,
-        residual=residual, pencil_residual=pencil_res)
+    return RankCertificate(dims=dims, A=A, D=D, N=N, Q=Q, residual=residual,
+                           pencil_residual=pencil_res)
 
 
 def certify(T: Tensor3, budget: CertifyBudget | None = None,
@@ -347,24 +320,22 @@ def certify(T: Tensor3, budget: CertifyBudget | None = None,
     diagnostics: dict = {}
     roots = None
     if (dims.m, dims.u) == (3, dims.n + 1):
-        count = corner_root_count(W, seed=rng)
+        roots = corner_root_count(W, seed=rng)
         diagnostics["degree"] = math.comb(dims.u, dims.n - 1)
         diagnostics["roots_found"] = diagnostics["roots_real"] = None
-        if count is not None:
-            roots = RootCountCertificate(p=dims.p, count=count)
-            diagnostics["roots_found"] = roots.roots_found
-            diagnostics["roots_real"] = roots.roots_real
+        if roots is not None:
+            diagnostics["roots_found"] = len(roots.roots)
+            diagnostics["roots_real"] = int(roots.real.sum())
     if roots is None:
         found = rank_drop_search(W, dims, seed=rng)
         if found is None:  # no solver for this shape: nothing was searched
             return Inconclusive(diagnostics={**diagnostics, "search": "none"})
     else:  # the certified real roots are every real rank-drop point
-        real = roots.count.roots[roots.count.real].real
-        found = _kernel_points(W, real)
+        found = _kernel_points(W, roots.roots[roots.real].real)
     cert = _collect_certificate(T, W, dims, found, diagnostics)
     if cert is not None:
         return RankP(certificate=cert, diagnostics=diagnostics)
-    if roots is not None and roots.roots_real < dims.p:
+    if roots is not None and roots.real.sum() < dims.p:
         return RankExceedsP(roots=roots)
     if found or roots is not None:  # a real point rules out rank > p
         return Inconclusive(diagnostics=diagnostics)

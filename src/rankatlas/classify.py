@@ -59,9 +59,8 @@ class TrankResult:
 _TABLE_CACHE: dict[int, HashBoundsTable] = {}
 
 
-def _table_for(n: int, bounds: HashBoundsTable | None) -> HashBoundsTable:
-    """The caller's table when it covers dimensions up to 2n - 1, else the
-    cached default table over exactly those.
+def _table_for(n: int) -> HashBoundsTable:
+    """The cached bound table over dimensions up to 2n - 1.
 
     A smaller table can miss entries the closure needs at (m, n), and a
     larger one gives the same interval for m#n with m <= n.  Every
@@ -71,8 +70,6 @@ def _table_for(n: int, bounds: HashBoundsTable | None) -> HashBoundsTable:
     dimension, convolution builds v from smaller entries, and the constant
     rules depend on no entry.  Lower bounds at (m, n) flow only from
     entries <= (m, n)."""
-    if bounds is not None and bounds.max_dim >= 2 * n - 1:
-        return bounds
     size = 2 * n - 1
     if size not in _TABLE_CACHE:
         _TABLE_CACHE[size] = build_bounds_table(size)
@@ -100,16 +97,14 @@ def _window_result(m: int, n: int, p: int, table: HashBoundsTable,
         hash_bounds=(lo, hi))
 
 
-def classify(m: int, n: int, p: int,
-             bounds: HashBoundsTable | None = None) -> TrankResult:
+def classify(m: int, n: int, p: int) -> TrankResult:
     """Set of typical ranks of real m x n x p tensors.
 
     Arguments are sorted internally (typical ranks are invariant under
-    permuting the three dimensions).  ``bounds`` may supply a prebuilt
-    m#n table, used when it covers dimensions up to 2n - 1 for the middle
-    dimension n; otherwise one over exactly those is built and cached.
-    That is exact, not a shortcut: every bound the closure can put on m#n
-    is at most m+n-1 <= 2n-1 and derives only from entries no larger than
+    permuting the three dimensions).  The m#n table is built over
+    dimensions up to 2n - 1 for the middle dimension n and cached.  That
+    is exact, not a shortcut: every bound the closure can put on m#n is at
+    most m+n-1 <= 2n-1 and derives only from entries no larger than
     itself, so a table built to p > 2n-1 pins m#n to the same interval.
     """
     if m < 1 or n < 1 or p < 1:
@@ -129,7 +124,7 @@ def classify(m: int, n: int, p: int,
     if p > (m - 1) * n:
         return TrankResult(kind="exact", ranks=(min(p, m * n),),
                            provenance="unbalanced regime min(p, mn)")
-    table = _table_for(n, bounds)
+    table = _table_for(n)
     corner = (m - 1) * (n - 1) + 1
     if p == (m - 1) * n:
         return _window_result(m, n, p, table,

@@ -110,7 +110,8 @@ def _verdict_payload(verdict) -> dict:
             "p": cert.dims.p,
             "residual": cert.residual,
             "pencil_residual": cert.pencil_residual,
-            "points": [[d.tolist(), b.tolist()] for d, b in cert.points],
+            "points": [[d.tolist(), b.tolist()]
+                       for d, b in zip(cert.D, cert.A.T)],
             "A": cert.A.tolist(),
             "D": cert.D.tolist(),
             "N": cert.N.tolist(),
@@ -121,8 +122,8 @@ def _verdict_payload(verdict) -> dict:
         roots = verdict.roots
         return {"verdict": "RankExceedsP", "margin": verdict.margin,
                 "roots": None if roots is None else {
-                    "degree": roots.degree, "real": roots.roots_real,
-                    "max_radius": roots.max_radius}}
+                    "degree": roots.degree, "real": int(roots.real.sum()),
+                    "max_radius": float(roots.radii.max())}}
     return {"verdict": "Inconclusive", "diagnostics": verdict.diagnostics}
 
 
@@ -138,8 +139,8 @@ def _cmd_certify(args) -> int:
                   f"residual {verdict.certificate.residual:.3e}")
         elif isinstance(verdict, RankExceedsP) and verdict.roots is not None:
             roots = verdict.roots
-            print(f"RankExceedsP: {roots.roots_real} of {roots.degree} "
-                  f"rank-drop roots real (p = {roots.p})")
+            print(f"RankExceedsP: {roots.real.sum()} of {roots.degree} "
+                  f"rank-drop roots real (p = {T.d2})")
         elif isinstance(verdict, RankExceedsP):
             print(f"RankExceedsP: margin {verdict.margin:.6f}")
         else:

@@ -6,12 +6,11 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .certify import (CertifyBudget, NotInVError, RankExceedsP, RankP,
-                      _require_ints, certify)
+from .certify import NotInVError, RankExceedsP, RankP, _require_ints, certify
 from .classify import classify
 from .pencil import ProblemDims, Tensor3
 
@@ -59,6 +58,10 @@ class AlsBudget:
     restarts: int = 5
     sweeps: int = 500
     polish_iters: int = 2000  # a cap; an exact fit or a vanishing step ends it
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError("ALS budget needs at least one restart")
 
 
 def _khatri_rao(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -244,7 +247,6 @@ class ExperimentConfig:
     run_als: bool = False
     als_restarts: int = 3
     als_sweeps: int = 250
-    certify_budget: CertifyBudget = field(default_factory=CertifyBudget)
     csv_path: str | None = None
     json_path: str | None = None
     threads: int = 1  # ignored; goes with ROADMAP item 8's benchmark
@@ -264,16 +266,14 @@ class ExperimentConfig:
         if self.samples < 1:
             raise ValueError("sample count must be >= 1")
         ProblemDims(self.m, self.n, self.p)  # inside the certifiable window
+        AlsBudget(restarts=self.als_restarts, sweeps=self.als_sweeps)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ValueError("config must be a JSON object")
-        budget = payload.pop("certify_budget", None)
-        cfg = cls(**payload) if budget is None else cls(
-            certify_budget=CertifyBudget(**budget), **payload)
-        return cfg
+        return cls(**payload)
 
     def to_json(self) -> str:
         payload = asdict(self)
@@ -325,7 +325,7 @@ def _run_one(cfg: ExperimentConfig, idx: int) -> SampleRow:
     t0 = time.perf_counter()
     T = sample_gaussian_tensor((cfg.n, cfg.p, cfg.m), rng, require_v=True)
     try:
-        verdict = certify(T, cfg.certify_budget, seed=rng)
+        verdict = certify(T, seed=rng)
     except NotInVError:
         verdict = None
     als_p = als_p1 = None

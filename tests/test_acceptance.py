@@ -124,7 +124,7 @@ def test_criterion_3_certificate_soundness(reports):
                 continue
             total_rankp += 1
             T, rng = _regenerate(cfg, row.sample_id)
-            verdict = certify(T, cfg.certify_budget, seed=rng)
+            verdict = certify(T, seed=rng)
             cert = verdict.certificate
             # independent reconstruction from the certificate fields only
             top = flatten(T, 2)[: cfg.p, :]
@@ -170,7 +170,7 @@ def test_criterion_5_plural_regime(reports):
     for i in range(n13):
         rng = np.random.default_rng([RANK13_POPULATION["seed"], i])
         T = Tensor3(T0.data + spread * rng.standard_normal(T0.data.shape))
-        verdict = certify(T, cfg.certify_budget, seed=rng)
+        verdict = certify(T, seed=rng)
         flagged += verdict.kind == "RankExceedsP"
     elapsed13 = time.perf_counter() - t0
     exceeds = flagged / n13

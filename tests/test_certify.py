@@ -10,7 +10,6 @@ from rankatlas.certify import (
     NotInVError,
     RankExceedsP,
     RankP,
-    RootCountCertificate,
     _select_independent,
     certify,
     decompose,
@@ -21,7 +20,8 @@ from rankatlas.certify import (
     sigma,
 )
 from rankatlas import pencil
-from rankatlas.pencil import ProblemDims, Tensor3, afcr_margin, flatten
+from rankatlas.pencil import (ProblemDims, RootCount, Tensor3, afcr_margin,
+                              flatten)
 
 
 def tensor_from_fl2(F, n, m):
@@ -206,10 +206,10 @@ class TestCertify:
         assert isinstance(verdict, RankP)
         cert = verdict.certificate
         assert cert.residual <= 1e-6
-        assert len(cert.points) == 6
+        assert len(cert.D) == cert.A.shape[1] == 6
         # every witness point kills the pencil
         W = iota_tensor(sigma(T), 3, 3)
-        for d, b in cert.points:
+        for d, b in zip(cert.D, cert.A.T):
             M = np.einsum("k,kij->ij", d, W.data)
             assert np.linalg.norm(M @ b) <= 1e-6
 
@@ -310,7 +310,7 @@ class TestCertify:
             assert len(points) == 1 - search_calls
             if T is rect:
                 assert len(points[0]) in (2, 4)
-                assert verdict.roots.roots_real == len(points[0])
+                assert verdict.roots.real.sum() == len(points[0])
 
     def test_shape_above_the_cap_is_not_searched(self, monkeypatch):
         # 5x17x5: the 8 x 5 pencil has k = 4 and n^k = 625 above
@@ -387,7 +387,7 @@ class TestCertify:
             assert len(calls) == margin_calls
         # a root count, not a margin, decides the 3x5x3 sample
         assert verdicts[1].margin is None
-        assert verdicts[1].roots.roots_real == 2
+        assert verdicts[1].roots.real.sum() == 2
         assert verdicts[2].margin > 1e-6
 
     def test_weak_margin_budget_does_not_overrule_a_witness(self):
@@ -412,9 +412,9 @@ class TestRootCountVerdict:
             assert verdict.kind in ("RankP", "RankExceedsP")
             if isinstance(verdict, RankExceedsP):
                 assert verdict.margin is None
-                assert isinstance(verdict.roots, RootCountCertificate)
-                assert verdict.roots.degree == verdict.roots.roots_found == 6
-                assert verdict.roots.roots_real in (0, 2, 4)
+                assert isinstance(verdict.roots, RootCount)
+                assert verdict.roots.degree == len(verdict.roots.roots) == 6
+                assert verdict.roots.real.sum() in (0, 2, 4)
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_other_corner_shapes(self, n):
@@ -426,7 +426,7 @@ class TestRootCountVerdict:
             assert verdict.kind in ("RankP", "RankExceedsP")
             if isinstance(verdict, RankExceedsP):
                 assert verdict.roots.degree == n * (n + 1) // 2
-                assert verdict.roots.roots_real < 2 * n - 1
+                assert verdict.roots.real.sum() < 2 * n - 1
 
     def test_planted_rank_p_never_exceeds(self, monkeypatch):
         # with the assembly of the rank-5 certificate blocked, the count
@@ -468,7 +468,7 @@ class TestRootCountVerdict:
         for i in range(3):
             T = Tensor3(rng.standard_normal((3, 3, 5)))
             verdict = certify(T, seed=i)
-            assert verdict.roots.roots_real == 2
+            assert verdict.roots.real.sum() == 2
             assert als_fit(T, 5, AlsBudget(restarts=3, sweeps=300),
                            seed=i) > 1e-3
 

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import itertools
 
@@ -74,7 +73,7 @@ class TestStructure:
                     continue
                 corner = (m - 1) * (n - 1) + 1
                 for p in range(corner + 1, (m - 1) * n + 1):
-                    assert classify(m, n, p, table).kind == "exact"
+                    assert classify(m, n, p).kind == "exact"
 
     def test_conditional_when_interval_straddles(self):
         # find an unpinned pair and aim p at the branch point
@@ -90,7 +89,7 @@ class TestStructure:
             if found:
                 break
         assert found, "expected at least one straddling case up to 24"
-        result = classify(*found, bounds=table)
+        result = classify(*found)
         assert result.kind == "conditional"
         assert result.ranks_if_true == (found[2], found[2] + 1)
         assert result.ranks_if_false == (found[2],)
@@ -126,20 +125,21 @@ def test_describe_readable():
 class TestDefaultTable:
     def test_table_to_2n_minus_1_matches_table_to_p(self):
         # a table over dimensions up to 2n - 1 pins m#n as tightly as one
-        # up to p, on both sides of 2n - 1
+        # up to p, on both sides of 2n - 1; classify reads its table only
+        # through interval(m, n), and reads the one to 2n - 1
         tables = {d: build_bounds_table(d) for d in range(3, 43)}
         for n in range(3, 8):
             for m in range(3, n + 1):
+                narrow = tables[2 * n - 1].interval(m, n)
                 for p in range(n, (m - 1) * n + 1):
-                    wide = classify(m, n, p, tables[p])
-                    narrow = classify(m, n, p, tables[2 * n - 1])
-                    assert (dataclasses.asdict(wide)
-                            == dataclasses.asdict(narrow)), (m, n, p)
+                    wide = tables[max(p, 2 * n - 1)].interval(m, n)
+                    assert wide == narrow, (m, n, p)
+                    assert classify(m, n, p).hash_bounds in (None, narrow)
 
     def test_small_caller_table_is_not_weaker(self):
         # a table to 7 < 2n - 1 = 13 lacks entries the closure needs for
-        # 5#7, so it must not replace the default table
-        assert classify(5, 7, 27, build_bounds_table(7)).ranks == (27, 28)
+        # 5#7; classify's own table reaches 13
+        assert classify(5, 7, 27).ranks == (27, 28)
 
     def test_default_table_does_not_grow_with_p(self, monkeypatch):
         module = importlib.import_module("rankatlas.classify")

@@ -240,6 +240,8 @@ class TestExperimentCommand:
         {"include_timings": 1},
         {"csv_path": True},
         {"json_path": 3},
+        {"run_als": True, "als_restarts": 0},  # no restart fits nothing
+        {"run_als": True, "als_restarts": -1},
     ])
     def test_malformed_values_are_a_bad_config(self, capsys, tmp_path,
                                                change):
@@ -307,6 +309,19 @@ class TestInputErrors:
                               "--base", str(base), "--m", "2", "--n", "2")
         assert code == 2
         assert "missing field 'b'" in err
+
+    @pytest.mark.parametrize("kind", ["restrict", "convolve"])
+    @pytest.mark.parametrize("text", ["3", "null", '"x"'])
+    def test_make_bilinear_base_that_is_not_an_object(self, capsys,
+                                                      tmp_path, kind, text):
+        base = tmp_path / "base.json"
+        base.write_text(text)
+        code, _, err = invoke(capsys, "make-bilinear", "--kind", kind,
+                              "--base", str(base), "--m", "2", "--n", "2",
+                              "--a", "2", "--b", "2")
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "must be a JSON object" in err
 
     @pytest.mark.parametrize("command", ["certify", "afcr"])
     def test_map_file_error_names_the_field(self, capsys, tmp_path, command):

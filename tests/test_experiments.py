@@ -57,6 +57,12 @@ class TestAls:
         with pytest.raises(ValueError):
             als_fit(Tensor3(np.zeros((2, 2, 2))), 0)
 
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_budget_needs_a_restart(self, restarts):
+        # with no restart als_fit would fit nothing and report inf
+        with pytest.raises(ValueError):
+            AlsBudget(restarts=restarts)
+
     @pytest.mark.parametrize("d1,d2,d3,r", [(3, 6, 3, 6), (4, 12, 4, 12),
                                              (3, 5, 3, 5)])
     def test_jacobian_matches_per_column_products(self, d1, d2, d3, r):
@@ -193,9 +199,9 @@ class TestRunExperiment:
         plain = als_columns()
         certify = experiments.certify
 
-        def hungry_certify(T, budget, seed):
+        def hungry_certify(T, seed):
             seed.standard_normal(7)
-            return certify(T, budget, seed=seed)
+            return certify(T, seed=seed)
 
         monkeypatch.setattr(experiments, "certify", hungry_certify)
         assert als_columns() == plain
