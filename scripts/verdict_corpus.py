@@ -1,5 +1,5 @@
 """Certify a fixed corpus of Gaussian tensors and print, per shape, the
-verdict histogram, the median certify time and a digest of the verdicts.
+verdict histogram, the median certify time and two digests of the verdicts.
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/verdict_corpus.py
     OPENBLAS_NUM_THREADS=1 python3 scripts/verdict_corpus.py 5x13x4:20
@@ -12,7 +12,9 @@ n x p x m is ``rng.standard_normal((m, n, p))`` with
 ``repr`` of its reconstruction residual and its ``points_found`` and
 ``span_dim`` diagnostics (None where the verdict has none); the digest is
 the SHA-256 of the labels in order.  Two checkouts that give the same
-verdicts and residuals bit for bit print the same digests.
+verdicts and residuals bit for bit print the same digests.  The verdict
+digest is the SHA-256 of the labels without their residuals, so a change
+that moves residual bits and no verdict keeps it.
 
 ``--labels`` also prints each sample's label as one tab-separated line
 (shape, index, kind, points_found, span_dim, residual) before the shape's
@@ -49,6 +51,10 @@ def label(verdict):
             diag.get("points_found"), diag.get("span_dim"))
 
 
+def sha256(rows):
+    return hashlib.sha256("\n".join(map(repr, rows)).encode()).hexdigest()
+
+
 def run_shape(n, p, m, count):
     """Labels and certify times in ms of samples 0..count-1 of a shape."""
     labels, ms = [], []
@@ -77,11 +83,11 @@ def main(argv=None):
             for i, (kind, residual, points, span) in enumerate(labels):
                 print(f"{shape}\t{i}\t{kind}\t{points}\t{span}\t{residual}")
         kinds = Counter(kind for kind, *_ in labels)
-        digest = hashlib.sha256(
-            "\n".join(map(repr, labels)).encode()).hexdigest()
+        verdicts = [(kind, points, span) for kind, _, points, span in labels]
         print(f"{shape} x{count}: "
               + ", ".join(f"{k} {kinds[k]}" for k in sorted(kinds))
-              + f"; median {statistics.median(ms):.2f} ms; digest {digest}")
+              + f"; median {statistics.median(ms):.2f} ms; digest "
+              + f"{sha256(labels)}; verdict digest {sha256(verdicts)}")
         sys.stdout.flush()
     return 0
 

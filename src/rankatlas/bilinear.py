@@ -33,11 +33,8 @@ class BilinearMap:
     coeffs: np.ndarray  # shape (c, a, b)
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.coeffs, dtype=float))
-        if arr.ndim != 3:
-            raise ValueError("coeffs must be a c x a x b array")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        # the checks of a c x a x b tensor: three positive dims, finite
+        object.__setattr__(self, "coeffs", Tensor3(self.coeffs).data)
 
     @property
     def a(self) -> int:
@@ -82,7 +79,7 @@ class BilinearMap:
             if type(payload[key]) is not int:
                 raise ValueError(f"bilinear map: '{key}' must be an int: "
                                  f"{payload[key]!r}")
-        # same layout and checks as a c x a x b tensor: numbers, finite
+        # same layout as a c x a x b tensor
         return cls(Tensor3.from_flat(payload["a"], payload["b"], payload["c"],
                                      payload["coeffs"]).data)
 

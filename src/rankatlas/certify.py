@@ -16,7 +16,7 @@ else is Inconclusive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
@@ -198,6 +198,31 @@ class Inconclusive:
 Verdict = Union[RankP, RankExceedsP, Inconclusive]
 
 
+@dataclass(frozen=True)
+class CPFactors:
+    """T[i, alpha, k] = sum_j A[i, j] B[alpha, j] C[k, j]."""
+
+    A: np.ndarray  # n x p
+    B: np.ndarray  # p x p
+    C: np.ndarray  # m x p
+    residual: float
+
+    @property
+    def terms(self) -> int:
+        return self.A.shape[1]
+
+
+def _factors(T: Tensor3, A: np.ndarray, D: np.ndarray,
+             Q: np.ndarray) -> CPFactors:
+    """Factors of a binary-scaled T from a certificate's A, D and Q, and
+    their relative residual: the RankP gate and ``decompose`` both use it."""
+    B = (Q @ flatten(T, 2)[:len(Q), :]).T  # column j is the mode-2 factor
+    C = D.T.copy()
+    That = np.einsum("ij,aj,kj->kia", A, B, C)
+    residual = float(np.linalg.norm(That - T.data) / np.linalg.norm(T.data))
+    return CPFactors(A=A.copy(), B=B, C=C, residual=residual)
+
+
 def _select_independent(Phi, p):
     """The numerical rank of the columns of ``Phi`` and the indices of up
     to p well-conditioned ones, picked by column-pivoted Gram-Schmidt: each
@@ -235,7 +260,6 @@ def _collect_certificate(T, W, dims, found, diagnostics):
     diagnostics["span_dim"] = span
     if span < dims.p:
         return None
-    p, m = dims.p, dims.m
     A = np.column_stack([found[j].b for j in piv])
     D = np.array([found[j].a for j in piv])  # p x m
     N = Phi[:, piv]
@@ -255,9 +279,7 @@ def _collect_certificate(T, W, dims, found, diagnostics):
     if not eq_res <= RESIDUAL_TOL:
         return None
 
-    top = flatten(T, 2)[:p, :]
-    That = np.stack([A @ np.diag(D[:, k]) @ Q @ top for k in range(m)])
-    residual = float(np.linalg.norm(That - T.data) / np.linalg.norm(T.data))
+    residual = _factors(T, A, D, Q).residual
     diagnostics["residual"] = residual
     if not residual <= RESIDUAL_TOL:
         return None
@@ -350,30 +372,11 @@ def certify(T: Tensor3, budget: CertifyBudget | None = None,
     return Inconclusive(diagnostics=diagnostics)
 
 
-@dataclass(frozen=True)
-class CPFactors:
-    """T[i, alpha, k] = sum_j A[i, j] B[alpha, j] C[k, j]."""
-
-    A: np.ndarray  # n x p
-    B: np.ndarray  # p x p
-    C: np.ndarray  # m x p
-    residual: float
-
-    @property
-    def terms(self) -> int:
-        return self.A.shape[1]
-
-
 def decompose(T: Tensor3, cert: RankCertificate) -> CPFactors:
     """Expand a certificate into explicit CP factor matrices for T."""
     dims = cert.dims
     if (T.d1, T.d2, T.d3) != (dims.n, dims.p, dims.m):
         raise ValueError("certificate does not match the tensor's size")
     T, e = _binary_scaled(T)
-    top = flatten(T, 2)[: dims.p, :]
-    B = (cert.Q @ top).T           # p x p, column j is the mode-2 factor
-    C = cert.D.T.copy()            # m x p
-    That = np.einsum("ij,aj,kj->kia", cert.A, B, C)
-    residual = float(np.linalg.norm(That - T.data) / np.linalg.norm(T.data))
-    return CPFactors(A=cert.A.copy(), B=np.ldexp(B, e), C=C,
-                     residual=residual)
+    factors = _factors(T, cert.A, cert.D, cert.Q)
+    return replace(factors, B=np.ldexp(factors.B, e))

@@ -39,14 +39,9 @@ def _fail(message: str) -> int:
 def _read_tensor(path: str) -> Tensor3:
     with open(path) as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        payload = json.loads(text)
-        if "coeffs" in payload:
+    if text.lstrip().startswith("{"):
+        if "coeffs" in json.loads(text):
             return as_tensor(BilinearMap.from_json(text))
-        if "data" not in payload or "dims" not in payload:
-            missing = "data" if "data" not in payload else "dims"
-            raise ValueError(f"{path}: missing field '{missing}'")
         return Tensor3.from_json(text)
     return Tensor3.from_text(text)
 

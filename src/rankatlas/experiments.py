@@ -28,29 +28,17 @@ __all__ = [
 
 CSV_COLUMNS = ("sample_id", "verdict", "cert_residual", "als_p", "als_p1",
                "points_found", "span_dim", "wall_ms")
-MAX_TRIES = 64      # draws before sample_gaussian_tensor gives up
 STALL_TOL = 1e-12   # ALS residual decrease that ends the sweeps
 RANK_RTOL = 1e-8    # relative singular-value threshold of the Terracini rank
 
 
 def sample_gaussian_tensor(dims: tuple[int, int, int],
-                           rng: np.random.Generator,
-                           require_v: bool = False) -> Tensor3:
-    """iid standard normal d1 x d2 x d3 tensor.
-
-    With ``require_v`` the leading d2 x d2 block of the mode-2 flattening is
-    required to be well-conditioned (resampling on the measure-zero-ish
-    failures).
-    """
+                           rng: np.random.Generator) -> Tensor3:
+    """iid standard normal d1 x d2 x d3 tensor.  Whether it lies in V (an
+    invertible leading d2 x d2 block of the mode-2 flattening) is decided
+    by ``certify.sigma`` alone."""
     d1, d2, d3 = dims
-    for _ in range(MAX_TRIES):
-        T = Tensor3(rng.standard_normal((d3, d1, d2)))
-        if not require_v:
-            return T
-        F = np.vstack(T.slices)
-        if F.shape[0] >= d2 and np.linalg.cond(F[:d2, :]) < 1e12:
-            return T
-    raise RuntimeError("could not draw a tensor with invertible leading block")
+    return Tensor3(rng.standard_normal((d3, d1, d2)))
 
 
 @dataclass(frozen=True)
@@ -323,7 +311,7 @@ class ExperimentReport:
 def _run_one(cfg: ExperimentConfig, idx: int) -> SampleRow:
     rng = np.random.default_rng([cfg.seed, idx])
     t0 = time.perf_counter()
-    T = sample_gaussian_tensor((cfg.n, cfg.p, cfg.m), rng, require_v=True)
+    T = sample_gaussian_tensor((cfg.n, cfg.p, cfg.m), rng)
     try:
         verdict = certify(T, seed=rng)
     except NotInVError:

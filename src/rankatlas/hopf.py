@@ -188,6 +188,8 @@ class HashBoundsTable:
     @classmethod
     def from_json(cls, text: str) -> "HashBoundsTable":
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError("bounds table must be a JSON object")
         table = cls(max_dim=int(payload["max_dim"]))
         for rec in payload["entries"]:
             table.entries[(int(rec["m"]), int(rec["n"]))] = BoundEntry(
@@ -196,7 +198,16 @@ class HashBoundsTable:
                 lower_rule=str(rec["lower_rule"]),
                 upper_rule=str(rec["upper_rule"]),
             )
+        table._check_chain()
         return table
+
+    def _check_chain(self) -> None:
+        """BoundsContradictionError unless every entry satisfies
+        max(m, n) <= lower <= upper <= m+n-1."""
+        for (m, n), e in self.entries.items():
+            if not max(m, n) <= e.lower <= e.upper <= m + n - 1:
+                raise BoundsContradictionError(
+                    f"entry ({m},{n}) violates the bound chain: {e}")
 
     # mutation helpers used by the builder --------------------------------
 
@@ -296,8 +307,8 @@ def build_bounds_table(max_dim: int) -> HashBoundsTable:
             kmin = min(_MILGRAM_K[mm % 8], _MILGRAM_K[nn % 8])
             bound = nn + mm + 1 - (alpha(nn) + _popcount(nn - mm) + kmin)
             table._improve_upper(nn + 1, mm + 1, bound, "milgram")
-    # scaled hypercomplex: km # kn <= k(m+n-1), k in {1,2,4,8}
-    for k in (1, 2, 4, 8):
+    # scaled hypercomplex: km # kn <= k(m+n-1); k = 1 is the trivial seed
+    for k in (2, 4, 8):
         for mm in range(1, D // k + 1):
             for nn in range(mm, D // k + 1):
                 table._improve_upper(
@@ -366,8 +377,5 @@ def build_bounds_table(max_dim: int) -> HashBoundsTable:
     while run_monotone_round():
         pass
 
-    for (m, n), e in table.entries.items():
-        if not max(m, n) <= e.lower <= e.upper <= m + n - 1:
-            raise BoundsContradictionError(
-                f"entry ({m},{n}) violates the bound chain: {e}")
+    table._check_chain()
     return table

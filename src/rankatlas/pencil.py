@@ -118,6 +118,11 @@ class Tensor3:
     @classmethod
     def from_json(cls, text: str) -> "Tensor3":
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError("tensor must be a JSON object")
+        for key in ("dims", "data"):
+            if key not in payload:
+                raise ValueError(f"tensor: missing field '{key}'")
         dims = payload["dims"]
         if not (isinstance(dims, list) and len(dims) == 3
                 and all(type(d) is int for d in dims)):

@@ -73,7 +73,7 @@ def _regenerate(cfg: ExperimentConfig, idx: int):
     # replays the exact sampling stream of the run, so a re-certification
     # with the returned generator reproduces the recorded verdict
     rng = np.random.default_rng([cfg.seed, idx])
-    T = sample_gaussian_tensor((cfg.n, cfg.p, cfg.m), rng, require_v=True)
+    T = sample_gaussian_tensor((cfg.n, cfg.p, cfg.m), rng)
     return T, rng
 
 

@@ -167,6 +167,14 @@ class TestTensorCorrespondence:
         f = hypercomplex_mult(4)
         assert BilinearMap.from_json(f.to_json()) == f
 
+    @pytest.mark.parametrize("coeffs", [np.full((2, 2, 2), np.nan),
+                                        np.full((2, 2, 2), np.inf),
+                                        np.zeros((0, 2, 2)),
+                                        np.zeros((2, 2, 0))])
+    def test_coefficients_checked_as_a_tensor(self, coeffs):
+        with pytest.raises(ValueError):
+            BilinearMap(coeffs)
+
 
 class TestMargin:
     def test_quaternion(self):

@@ -501,6 +501,22 @@ class TestDecompose:
         assert factors.residual == pytest.approx(verdict.certificate.residual,
                                                  abs=1e-9)
 
+    @pytest.mark.parametrize("n,p,m,count", [(3, 6, 3, 10), (4, 12, 4, 10),
+                                             (3, 5, 3, 50), (4, 11, 4, 10)])
+    def test_certificate_residual_is_decompose_residual(self, n, p, m, count):
+        # the gate and decompose reconstruct through one function, so the
+        # two residuals agree bit for bit
+        rng = np.random.default_rng(3)
+        rankp = 0
+        for i in range(count):
+            T = Tensor3(rng.standard_normal((m, n, p)))
+            verdict = certify(T, seed=i)
+            if isinstance(verdict, RankP):
+                rankp += 1
+                cert = verdict.certificate
+                assert decompose(T, cert).residual == cert.residual
+        assert rankp > 0
+
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_extreme_scale(self, scale):
         # residuals are taken on T scaled by a power of two, so they stay

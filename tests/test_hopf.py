@@ -295,6 +295,17 @@ class TestTableJson:
         assert table.to_json() == indent_one_json(table)
         assert HashBoundsTable.from_json(table.to_json()).entries == {}
 
+    @pytest.mark.parametrize("text", ["[1]", '"x"', "3"])
+    def test_not_an_object(self, text):
+        with pytest.raises(ValueError, match="JSON object"):
+            HashBoundsTable.from_json(text)
+
+    def test_broken_bound_chain_rejected(self):
+        payload = json.loads(build_bounds_table(2).to_json())
+        payload["entries"][0].update(lower=5, upper=2)  # entry (1, 1)
+        with pytest.raises(BoundsContradictionError, match=r"\(1,1\)"):
+            HashBoundsTable.from_json(json.dumps(payload))
+
     def test_peak_memory_at_64(self):
         # the pure-Python indent encoder peaked at about 3 MB here
         table = build_bounds_table(64)

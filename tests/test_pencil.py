@@ -44,6 +44,17 @@ class TestTensor3:
         T = Tensor3(rng.standard_normal((2, 4, 3)))
         assert Tensor3.from_json(T.to_json()) == T
 
+    @pytest.mark.parametrize("text", ["[1]", '"x"', "3"])
+    def test_json_not_an_object(self, text):
+        with pytest.raises(ValueError, match="JSON object"):
+            Tensor3.from_json(text)
+
+    @pytest.mark.parametrize("text,field", [('{"dims": [1, 1, 1]}', "data"),
+                                            ('{"data": [1.0]}', "dims")])
+    def test_json_missing_field_named(self, text, field):
+        with pytest.raises(ValueError, match=f"missing field '{field}'"):
+            Tensor3.from_json(text)
+
     def test_text_roundtrip(self):
         rng = np.random.default_rng(2)
         T = Tensor3(rng.standard_normal((3, 2, 5)))
