@@ -41,8 +41,9 @@ sys.path.insert(0, str(ROOT / "src"))
 from rankatlas.certify import certify  # noqa: E402
 from rankatlas.pencil import Tensor3  # noqa: E402
 
+# 6x22x5 is the one default shape whose search takes the sliced k = 3 path
 SHAPES = ("3x6x3:40", "4x12x4:20", "3x5x3:40", "4x7x3:20", "4x11x4:20",
-          "4x10x4:20", "5x17x5:5")
+          "4x10x4:20", "5x17x5:5", "6x22x5:5")
 
 
 def label(verdict):

@@ -349,7 +349,7 @@ def certify(T: Tensor3, budget: CertifyBudget | None = None,
             diagnostics["roots_found"] = len(roots.roots)
             diagnostics["roots_real"] = int(roots.real.sum())
     if roots is None:
-        found = rank_drop_search(W, dims, seed=rng)
+        found = rank_drop_search(W, seed=rng)
         if found is None:  # no solver for this shape: nothing was searched
             return Inconclusive(diagnostics={**diagnostics, "search": "none"})
     else:  # the certified real roots are every real rank-drop point

@@ -77,39 +77,18 @@ def stiefel_hopf(r: int, s: int, n: int) -> bool:
     return True
 
 
-def _circ_search(r: int, s: int) -> int:
+@lru_cache(maxsize=None)
+def circ(r: int, s: int) -> int:
+    """Least n >= max(r, s) for which the Stiefel-Hopf criterion H(r, s, n)
+    holds, by upward search; it ends by n = r+s-1, where the range of k in
+    H is empty.  The tests check it against the ceiling-halving
+    recursion."""
+    if r < 1 or s < 1:
+        raise ValueError("circ requires positive integers")
     n = max(r, s)
     while not stiefel_hopf(r, s, n):
         n += 1
     return n
-
-
-def _circ_recursion(r: int, s: int) -> int:
-    if r == 1 or s == 1:
-        return max(r, s)
-    rs, ss = (r + 1) // 2, (s + 1) // 2
-    c = _circ_recursion(rs, ss)
-    if r % 2 == 1 and s % 2 == 1 and c == rs + ss - 1:
-        return 2 * c - 1
-    return 2 * c
-
-
-@lru_cache(maxsize=None)
-def circ(r: int, s: int) -> int:
-    """Least n for which the Stiefel-Hopf criterion H(r, s, n) holds.
-
-    Computed both by direct search upward from max(r, s) and by the
-    ceiling-halving recursion; the two must agree.
-    """
-    if r < 1 or s < 1:
-        raise ValueError("circ requires positive integers")
-    direct = _circ_search(r, s)
-    rec = _circ_recursion(r, s)
-    if direct != rec:
-        raise AssertionError(
-            f"circ({r},{s}): direct search gave {direct}, recursion gave {rec}"
-        )
-    return direct
 
 
 # -- bound table ------------------------------------------------------------
@@ -120,8 +99,7 @@ _MILGRAM_K = {1: 0, 3: 1, 5: 1, 7: 4}
 # Rules quoted from survey sources whose side hypotheses are not reproduced;
 # an instance contradicting a proven opposite bound is out of hypothesis and
 # gets skipped (recorded), not fatal.
-_SURVEY_LOWER_RULES = ("davis", "davis-mahowald", "davis-2011")
-_SURVEY_UPPER_RULES = ("milgram",)
+_SURVEY_RULES = ("davis", "davis-mahowald", "davis-2011", "milgram")
 
 
 @dataclass(slots=True)
@@ -138,19 +116,17 @@ class HashBoundsTable:
 
     Entries are stored once per unordered pair; lookups are symmetric.
     ``skipped`` records survey-rule instances rejected by the contradiction
-    guard.
+    guard.  ``to_json`` writes the table (``rankatlas bounds --json``); no
+    reader exists, so ``_check_chain`` runs once, as the last step of
+    ``build_bounds_table``.
     """
 
     max_dim: int
     entries: dict[tuple[int, int], BoundEntry] = field(default_factory=dict)
     skipped: list[str] = field(default_factory=list)
 
-    @staticmethod
-    def _key(m: int, n: int) -> tuple[int, int]:
-        return (m, n) if m <= n else (n, m)
-
     def entry(self, m: int, n: int) -> BoundEntry:
-        return self.entries[self._key(m, n)]
+        return self.entries[(m, n) if m <= n else (n, m)]
 
     def lower(self, m: int, n: int) -> int:
         return self.entry(m, n).lower
@@ -185,22 +161,6 @@ class HashBoundsTable:
     def to_json(self) -> str:
         return "".join(self.json_chunks())
 
-    @classmethod
-    def from_json(cls, text: str) -> "HashBoundsTable":
-        payload = json.loads(text)
-        if not isinstance(payload, dict):
-            raise ValueError("bounds table must be a JSON object")
-        table = cls(max_dim=int(payload["max_dim"]))
-        for rec in payload["entries"]:
-            table.entries[(int(rec["m"]), int(rec["n"]))] = BoundEntry(
-                lower=int(rec["lower"]),
-                upper=int(rec["upper"]),
-                lower_rule=str(rec["lower_rule"]),
-                upper_rule=str(rec["upper_rule"]),
-            )
-        table._check_chain()
-        return table
-
     def _check_chain(self) -> None:
         """BoundsContradictionError unless every entry satisfies
         max(m, n) <= lower <= upper <= m+n-1."""
@@ -209,42 +169,29 @@ class HashBoundsTable:
                 raise BoundsContradictionError(
                     f"entry ({m},{n}) violates the bound chain: {e}")
 
-    # mutation helpers used by the builder --------------------------------
-
-    def _improve_lower(self, m: int, n: int, value: int, rule: str) -> bool:
+    def _improve(self, m: int, n: int, value: int, rule: str,
+                 side: str) -> bool:
+        """Tighten the ``side`` bound ("lower" or "upper") of m#n to
+        ``value`` by ``rule``; True when the interval changed.  A value past
+        the other bound is recorded in ``skipped`` for a survey rule and
+        raises BoundsContradictionError for any other."""
         e = self.entry(m, n)
-        if value <= e.lower:
+        if value >= e.upper if side == "upper" else value <= e.lower:
             return False
-        if value > e.upper:
-            if rule in _SURVEY_LOWER_RULES:
+        lower = side == "lower"
+        other, rel = ("upper", ">") if lower else ("lower", "<")
+        bound, bound_rule = getattr(e, other), getattr(e, other + "_rule")
+        if value > bound if lower else value < bound:
+            if rule in _SURVEY_RULES:
                 self.skipped.append(
-                    f"{rule}: lower({m},{n})>={value} rejected, upper is "
-                    f"{e.upper} [{e.upper_rule}]"
-                )
+                    f"{rule}: {side}({m},{n}){rel}={value} rejected, "
+                    f"{other} is {bound} [{bound_rule}]")
                 return False
             raise BoundsContradictionError(
-                f"rule {rule} wants lower({m},{n}) = {value} > upper {e.upper} "
-                f"[{e.upper_rule}]"
-            )
-        e.lower, e.lower_rule = value, rule
-        return True
-
-    def _improve_upper(self, m: int, n: int, value: int, rule: str) -> bool:
-        e = self.entry(m, n)
-        if value >= e.upper:
-            return False
-        if value < e.lower:
-            if rule in _SURVEY_UPPER_RULES:
-                self.skipped.append(
-                    f"{rule}: upper({m},{n})<={value} rejected, lower is "
-                    f"{e.lower} [{e.lower_rule}]"
-                )
-                return False
-            raise BoundsContradictionError(
-                f"rule {rule} wants upper({m},{n}) = {value} < lower {e.lower} "
-                f"[{e.lower_rule}]"
-            )
-        e.upper, e.upper_rule = value, rule
+                f"rule {rule} wants {side}({m},{n}) = {value} {rel} {other} "
+                f"{bound} [{bound_rule}]")
+        setattr(e, side, value)
+        setattr(e, side + "_rule", rule)
         return True
 
 
@@ -288,31 +235,31 @@ def build_bounds_table(max_dim: int) -> HashBoundsTable:
     for n in range(1, D + 1):
         r = rho(n)
         if r <= D:
-            table._improve_upper(n, r, n, "hurwitz-radon")
+            table._improve(n, r, n, "hurwitz-radon", "upper")
         if r + 1 <= D:
-            table._improve_lower(n, r + 1, n + 1, "adams")
+            table._improve(n, r + 1, n + 1, "adams", "lower")
     for m in range(2, D + 1):
         for n in range(m, D + 1):
             if not bit_disjoint(m - 1, n - 1):
-                table._improve_upper(m, n, m + n - 2, "bit-overlap")
+                table._improve(m, n, m + n - 2, "bit-overlap", "upper")
 
     # constant rules, applied once: bounds only tighten, so applying one
     # again could only repeat a rejection
     # Cohen: (n+1)#(n+1) <= 2n - alpha(n) + 1
     for n in range(1, D):
-        table._improve_upper(n + 1, n + 1, 2 * n - alpha(n) + 1, "cohen")
+        table._improve(n + 1, n + 1, 2 * n - alpha(n) + 1, "cohen", "upper")
     # Milgram: odd m <= n, both odd
     for mm in range(1, D, 2):
         for nn in range(mm, D, 2):
             kmin = min(_MILGRAM_K[mm % 8], _MILGRAM_K[nn % 8])
             bound = nn + mm + 1 - (alpha(nn) + _popcount(nn - mm) + kmin)
-            table._improve_upper(nn + 1, mm + 1, bound, "milgram")
+            table._improve(nn + 1, mm + 1, bound, "milgram", "upper")
     # scaled hypercomplex: km # kn <= k(m+n-1); k = 1 is the trivial seed
     for k in (2, 4, 8):
         for mm in range(1, D // k + 1):
             for nn in range(mm, D // k + 1):
-                table._improve_upper(
-                    k * mm, k * nn, k * (mm + nn - 1), "hopf-mult")
+                table._improve(
+                    k * mm, k * nn, k * (mm + nn - 1), "hopf-mult", "upper")
     # tau-corrected family: d(h+1) # (d(k-h) + tau(k,h)) <= dk
     for d in (1, 2, 4, 8):
         for h in range(0, D // d):
@@ -320,7 +267,7 @@ def build_bounds_table(max_dim: int) -> HashBoundsTable:
                 first = d * (h + 1)
                 second = d * (k - h) + tau(k, h)
                 if first <= D and second <= D:
-                    table._improve_upper(first, second, d * k, "lam")
+                    table._improve(first, second, d * k, "lam", "upper")
 
     def run_dynamic_round() -> bool:
         changed = False
@@ -332,8 +279,9 @@ def build_bounds_table(max_dim: int) -> HashBoundsTable:
                     for nn in range(1, D // w2 + 1):
                         if mm == nn == 1:
                             continue
-                        changed |= table._improve_upper(
-                            mm * w1, nn * w2, (mm + nn - 1) * u, "convolution")
+                        changed |= table._improve(
+                            mm * w1, nn * w2, (mm + nn - 1) * u,
+                            "convolution", "upper")
         changed |= run_monotone_round()
         return changed
 
@@ -345,10 +293,10 @@ def build_bounds_table(max_dim: int) -> HashBoundsTable:
                 for m2, n2 in ((m + 1, n), (m, n + 1)):
                     if max(m2, n2) > D:
                         continue
-                    changed |= table._improve_upper(
-                        m, n, table.upper(m2, n2), "restriction")
-                    changed |= table._improve_lower(
-                        m2, n2, table.lower(m, n), "restriction")
+                    changed |= table._improve(
+                        m, n, table.upper(m2, n2), "restriction", "upper")
+                    changed |= table._improve(
+                        m2, n2, table.lower(m, n), "restriction", "lower")
         return changed
 
     while run_dynamic_round():
@@ -358,22 +306,22 @@ def build_bounds_table(max_dim: int) -> HashBoundsTable:
     for n in range(1, D + 1):
         a_n = alpha(n)
         if 2 * n + a_n <= D:
-            table._improve_lower(
-                2 * n + a_n, 2 * n + a_n, 4 * n - 2 * a_n + 2, "davis")
+            table._improve(2 * n + a_n, 2 * n + a_n, 4 * n - 2 * a_n + 2,
+                           "davis", "lower")
         if a_n == 2:
             if 8 * n + 9 <= D:
-                table._improve_lower(8 * n + 9, 8 * n + 9, 16 * n + 6,
-                                     "davis-mahowald")
+                table._improve(8 * n + 9, 8 * n + 9, 16 * n + 6,
+                               "davis-mahowald", "lower")
             if 16 * n + 12 <= D:
-                table._improve_lower(16 * n + 12, 16 * n + 12, 32 * n + 14,
-                                     "davis-mahowald")
+                table._improve(16 * n + 12, 16 * n + 12, 32 * n + 14,
+                               "davis-mahowald", "lower")
         if a_n == 3:
             if 8 * n + 10 <= D:
-                table._improve_lower(8 * n + 10, 8 * n + 10, 16 * n + 1,
-                                     "davis-2011")
+                table._improve(8 * n + 10, 8 * n + 10, 16 * n + 1,
+                               "davis-2011", "lower")
             if 8 * n + 11 <= D:
-                table._improve_lower(8 * n + 11, 8 * n + 11, 16 * n + 4,
-                                     "davis-2011")
+                table._improve(8 * n + 11, 8 * n + 11, 16 * n + 4,
+                               "davis-2011", "lower")
     while run_monotone_round():
         pass
 

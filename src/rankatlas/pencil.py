@@ -395,16 +395,19 @@ def _pencil_eigvals(A: np.ndarray, B: np.ndarray):
     The basis (A, B) is rotated to (cA + sB, cB - sA), c = cos t and
     s = sin t, at the angle t in {0, pi/4, pi/2, 3pi/4} whose second matrix
     is best conditioned, so that the ordinary eigenvalues of B'^-1 A' can
-    be taken; they are rotated back.
+    be taken; they are rotated back.  The angles are rated one rotated
+    copy at a time, so that memory holds one copy of the stack, not four.
     """
-    t = np.pi / 4 * np.arange(4).reshape((-1,) + (1,) * A.ndim)
-    Ar, Br = np.cos(t) * A + np.sin(t) * B, np.cos(t) * B - np.sin(t) * A
-    sv = np.linalg.svd(Br, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        best = np.nan_to_num(sv[..., -1] / sv[..., 0]).argmax(axis=0)
-    pick = best[None, ..., None, None]
-    lam = np.linalg.eigvals(np.linalg.solve(
-        np.take_along_axis(Br, pick, 0)[0], np.take_along_axis(Ar, pick, 0)[0]))
+    t = np.pi / 4 * np.arange(4)
+    c, s = np.cos(t), np.sin(t)
+    ratio = []
+    for i in range(4):
+        sv = np.linalg.svd(c[i] * B - s[i] * A, compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio.append(np.nan_to_num(sv[..., -1] / sv[..., 0]))
+    best = np.argmax(ratio, axis=0)
+    c, s = c[best][..., None, None], s[best][..., None, None]
+    lam = np.linalg.eigvals(np.linalg.solve(c * B - s * A, c * A + s * B))
     t = np.pi / 4 * best[..., None]
     return lam * np.cos(t) - np.sin(t), np.cos(t) + lam * np.sin(t)
 
@@ -652,8 +655,7 @@ def _dedup_points(P: np.ndarray) -> np.ndarray:
     return idx[np.lexsort(np.round(P[idx], 9).T[::-1])]
 
 
-def rank_drop_search(Y: Tensor3, dims: ProblemDims | None = None,
-                     seed: int | np.random.Generator = 0
+def rank_drop_search(Y: Tensor3, seed: int | np.random.Generator = 0
                      ) -> list[RankDropPoint] | None:
     """Hunt for unit vectors a with sigma_n / sigma_1 of M(a, Y) below
     ``TOL_RANKDROP``, or None when no solver applies to the shape of Y.
@@ -665,13 +667,10 @@ def rank_drop_search(Y: Tensor3, dims: ProblemDims | None = None,
     search failed, not that no points exist: a real component of the locus
     can miss a real slice.
     """
-    rng = np.random.default_rng(seed)
-    u, n, m = Y.d1, Y.d2, Y.d3
+    u, n = Y.d1, Y.d2
     if u < n:
         raise ValueError(f"pencil must be tall: u={u} < n={n}")
-    if dims is not None and (dims.u, dims.n, dims.m) != (u, n, m):
-        raise ValueError(f"dims {dims} do not match tensor of size {u}x{n}x{m}")
-    raw = _structured_roots(Y, rng)
+    raw = _structured_roots(Y, np.random.default_rng(seed))
     return None if raw is None else _kernel_points(Y, raw)
 
 
@@ -756,7 +755,7 @@ def is_afcr(Y: Tensor3, budget: MarginBudget | None = None,
     return margin > TOL_MARGIN, margin
 
 
-def corner_minors(a, Y: Tensor3, dims: ProblemDims | None = None) -> np.ndarray:
+def corner_minors(a, Y: Tensor3) -> np.ndarray:
     """The v corner minors mu_k: rows (1..n-1, k) x all columns, k = n..u."""
     M = contract_pencil(a, Y)
     u, n = M.shape

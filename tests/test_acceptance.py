@@ -269,8 +269,8 @@ def test_criterion_8_property_suites():
             ap, am = a.copy(), a.copy()
             ap[s] += step
             am[s] -= step
-            fd = (corner_minors(ap, Y, dims)
-                  - corner_minors(am, Y, dims)) / (2 * step)
+            fd = (corner_minors(ap, Y)
+                  - corner_minors(am, Y)) / (2 * step)
             worst_jac = max(worst_jac, float(np.max(np.abs(J[:, si] - fd))))
 
     ok = (worst_pluecker < 1e-10 and worst_psi < 1e-10

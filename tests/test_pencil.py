@@ -582,8 +582,8 @@ class TestPointRegularity:
                 ap, am = a.copy(), a.copy()
                 ap[s] += step
                 am[s] -= step
-                fd = (corner_minors(ap, Y, dims)
-                      - corner_minors(am, Y, dims)) / (2 * step)
+                fd = (corner_minors(ap, Y)
+                      - corner_minors(am, Y)) / (2 * step)
                 assert np.max(np.abs(J[:, si] - fd)) < 1e-5
 
 
