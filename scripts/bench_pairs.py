@@ -11,7 +11,10 @@ the passes, ``failed``/``attempted`` and digest of each side and its
 end-to-end metrics.  At the end, for every end-to-end metric of
 ``BENCHMARK.json``, it prints each side's median and quartiles next to
 that side's median pass count, and the number of pairs the change wins in
-the metric's ``better`` direction; a tie counts for neither side.
+the metric's ``better`` direction; a tie counts for neither side.  Last,
+it lists the ten queries slowest at the parent, by the median over the
+runs of each side; a query is an entry of the record's ``operations``,
+the first pass's [label, ms] pairs, keyed by the label before `` -> ``.
 """
 
 import argparse
@@ -20,6 +23,7 @@ import re
 import statistics
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,7 +32,8 @@ SIDES = ("parent", "change")
 
 def run(checkout, workload, seed, seconds):
     """One untraced run in ``checkout``: its result line plus the pass
-    count and digest from the readable report."""
+    count and digest from the readable report, and the per-query latency
+    of its record."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
@@ -39,6 +44,10 @@ def run(checkout, workload, seed, seconds):
     result["passes"] = int(re.search(r"\bpasses (\d+)", lines[0]).group(1))
     digest = [ln.split()[1] for ln in lines if ln.startswith("  digest ")]
     result["digest"] = digest[0] if digest else None
+    record = (checkout / "perfbench" / "out"
+              / f"{workload}-seed{seed}-trace0.json")
+    result["queries"] = [(label.split(" -> ")[0], ms) for label, ms in
+                         json.loads(record.read_text())["operations"]]
     return result
 
 
@@ -99,6 +108,18 @@ def main(argv=None):
               f"{len(pairs)} pairs ({m['better']} is better); median gap "
               f"{gap:+.6g} against a parent interquartile range "
               f"{q3 - q1:.6g}")
+
+    ms = {side: defaultdict(list) for side in SIDES}
+    for pair in pairs:
+        for side in SIDES:
+            for key, value in pair[side]["queries"]:
+                ms[side][key].append(value)
+    med = {side: {key: statistics.median(v) for key, v in ms[side].items()}
+           for side in SIDES}
+    print("  slowest queries at the parent, median ms per side:")
+    for key in sorted(med["parent"], key=med["parent"].get, reverse=True)[:10]:
+        print(f"  {key:40s} {med['parent'][key]:10.2f} -> "
+              f"{med['change'].get(key, float('nan')):10.2f}")
     return 0
 
 

@@ -4,9 +4,9 @@ bilinear maps.
 ``m # n`` denotes the least r admitting a nonsingular bilinear map
 R^m x R^n -> R^r.  Exact values are rare; this module maintains certified
 integer intervals ``lower <= m#n <= upper`` by seeding classical facts
-(Stiefel-Hopf parity criterion, Hurwitz-Radon/Adams, hypercomplex and
-convolution constructions, bit-disjointness) and closing them under
-composition, restriction and symmetry.
+(Stiefel-Hopf parity criterion, Hurwitz-Radon/Adams, the Cohen, Milgram and
+tau-corrected constructions, bit-overlap) and closing them under
+convolution, restriction and symmetry.
 """
 
 from __future__ import annotations
@@ -202,22 +202,26 @@ def build_bounds_table(max_dim: int) -> HashBoundsTable:
     Seeds: the Stiefel-Hopf lower bound circ(m, n), the trivial upper bound
     m+n-1, Hurwitz-Radon upper bounds m # rho(m) <= m, the Adams lower bound
     m # (rho(m)+1) > m and the bit-overlap defect m # n <= m+n-2 when m-1
-    and n-1 share a 1-bit.  The rules with constant values (the
-    scaled-hypercomplex rule, Cohen, Milgram and the tau-corrected
-    construction family) are applied once; the closure then iterates the
-    convolution composite rule, monotone restriction and symmetry until no
-    interval changes.
-    Survey-sourced diagonal lower bounds are applied last under a
-    contradiction guard.
+    and n-1 share a 1-bit.  The rules with constant values (Cohen, Milgram
+    and the tau-corrected construction family) are applied once; the
+    closure then repeats a convolution round and a restriction round until
+    no interval changes.  Survey-sourced diagonal lower bounds come last,
+    under a contradiction guard, with one more restriction round.  That
+    round pulls each upper from its two larger neighbours in reverse (m, n)
+    order, then pushes each lower to them in (m, n) order, so each read is
+    final and one round settles restriction.  The rules are monotone, so
+    any order gives the same intervals; a rule name records which rule
+    reached its bound first.
 
-    Three classical rules are implied, so they have no code.  H(m, n, N)
+    Four classical rules are implied, so they have no code.  H(m, n, N)
     says (x+y)^N = 0 in F2[x, y]/(x^m, y^n): it holds exactly for
     N >= circ(m, n), and fails when some C(N, k), N-n < k < m, is odd.
     Bit-disjoint m-1, n-1 (m # n = m+n-1): C(m+n-2, m-1) is odd by Lucas,
     so circ(m, n) = m+n-1.  Levine at n = 2^a+1 (n # n >= 2n-2): every
     C(2^(a+1)-1, k) is odd and C(2^(a+1), 2^a) is even, so circ(n, n) =
     2^(a+1) = 2n-2.  (n+1) # (n + tau(2n, n)) <= 2n is the tau family at
-    d = 1, h = n, k = 2n.
+    d = 1, h = n, k = 2n.  Scaled hypercomplex, ka # kb <= k(a+b-1) for
+    k = 2, 4, 8: the first convolution round on Hurwitz-Radon's k # k <= k.
     """
     if max_dim < 2:
         raise ValueError("build_bounds_table requires max_dim >= 2")
@@ -254,12 +258,6 @@ def build_bounds_table(max_dim: int) -> HashBoundsTable:
             kmin = min(_MILGRAM_K[mm % 8], _MILGRAM_K[nn % 8])
             bound = nn + mm + 1 - (alpha(nn) + _popcount(nn - mm) + kmin)
             table._improve(nn + 1, mm + 1, bound, "milgram", "upper")
-    # scaled hypercomplex: km # kn <= k(m+n-1); k = 1 is the trivial seed
-    for k in (2, 4, 8):
-        for mm in range(1, D // k + 1):
-            for nn in range(mm, D // k + 1):
-                table._improve(
-                    k * mm, k * nn, k * (mm + nn - 1), "hopf-mult", "upper")
     # tau-corrected family: d(h+1) # (d(k-h) + tau(k,h)) <= dk
     for d in (1, 2, 4, 8):
         for h in range(0, D // d):
@@ -271,8 +269,9 @@ def build_bounds_table(max_dim: int) -> HashBoundsTable:
 
     def run_dynamic_round() -> bool:
         changed = False
-        # convolution composite: (m*w1) # (n*w2) <= (m+n-1) * upper(w1, w2)
-        for w1 in range(1, D + 1):
+        # convolution composite: (m*w1) # (n*w2) <= (m+n-1) * upper(w1, w2);
+        # at w1 = 1 it is (m+n-1) * w2, never below the trivial m + n*w2 - 1
+        for w1 in range(2, D + 1):
             for w2 in range(w1, D + 1):
                 u = table.upper(w1, w2)
                 for mm in range(1, D // w1 + 1):
@@ -288,13 +287,14 @@ def build_bounds_table(max_dim: int) -> HashBoundsTable:
     def run_monotone_round() -> bool:
         # restriction: m' <= m, n' <= n implies m'#n' <= m#n
         changed = False
-        for m in range(1, D + 1):
-            for n in range(m, D + 1):
-                for m2, n2 in ((m + 1, n), (m, n + 1)):
-                    if max(m2, n2) > D:
-                        continue
+        for m, n in reversed(table.entries):
+            for m2, n2 in ((m + 1, n), (m, n + 1)):
+                if max(m2, n2) <= D:
                     changed |= table._improve(
                         m, n, table.upper(m2, n2), "restriction", "upper")
+        for m, n in table.entries:
+            for m2, n2 in ((m + 1, n), (m, n + 1)):
+                if max(m2, n2) <= D:
                     changed |= table._improve(
                         m2, n2, table.lower(m, n), "restriction", "lower")
         return changed
@@ -322,8 +322,7 @@ def build_bounds_table(max_dim: int) -> HashBoundsTable:
             if 8 * n + 11 <= D:
                 table._improve(8 * n + 11, 8 * n + 11, 16 * n + 4,
                                "davis-2011", "lower")
-    while run_monotone_round():
-        pass
+    run_monotone_round()
 
     table._check_chain()
     return table
