@@ -6,11 +6,10 @@ reduced to a u x p matrix (``sigma``), embedded as a pencil with trailing
 of that pencil: when their ``phi`` images span R^p, they assemble an
 explicit p-term decomposition certifying rank == p.  At the corner
 p = 2n - 1 of m = 3 one certified count of the complex rank-drop points
-supplies them as its real roots, and fewer than p real roots give
-rank > p.  Elsewhere, and where the count does not certify, one rank-drop
-search supplies them, and only a search that ran and found no point runs
-the full-column-rank margin, whose positive value gives rank > p.  Anything
-else is Inconclusive.
+decides: its real roots supply the points, and fewer than p real roots give
+rank > p.  Elsewhere one rank-drop search supplies them, and only a search
+that ran and found no point runs the full-column-rank margin, whose
+positive value gives rank > p.  Anything else is Inconclusive.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from .pencil import (
     Tensor3,
     _binary_scaled,
     _kernel_points,
+    _require_ints,
     afcr_margin_info,
     contract_pencil,
     corner_root_count,
@@ -64,13 +64,6 @@ SPAN_RTOL = 1e-8      # relative threshold of the phi-column rank
 
 class NotInVError(ValueError):
     """Leading p x p block of the mode-2 flattening is (numerically) singular."""
-
-
-def _require_ints(obj, names) -> None:
-    """TypeError unless each named field of ``obj`` is an int, not a bool."""
-    for name in names:
-        if type(getattr(obj, name)) is not int:
-            raise TypeError(f"{name} must be an int: {getattr(obj, name)!r}")
 
 
 def sigma(T: Tensor3) -> np.ndarray:
@@ -145,10 +138,9 @@ class CertifyBudget:
     search_rounds: int = 5
 
     def __post_init__(self):
-        _require_ints(self, ("margin_restarts", "margin_iters",
-                             "search_restarts", "search_rounds"))
-        if self.search_rounds < 1 or self.margin_restarts < 1:
-            raise ValueError("budget must allow at least one round")
+        _require_ints(self, ("margin_restarts", "search_restarts",
+                             "search_rounds"), least=1)
+        _require_ints(self, ("margin_iters",), least=0)
 
 
 @dataclass(frozen=True)
@@ -174,10 +166,10 @@ class RankP:
 
 @dataclass(frozen=True)
 class RankExceedsP:
-    """rank T > p, witnessed by exactly one of a best-found pencil margin
-    and a certified root count at the corner p = 2n - 1 of m = 3: all
-    ``roots.degree`` complex rank-drop points of W, fewer than p of them
-    real."""
+    """rank T > p, witnessed by exactly one of a best-found pencil margin,
+    off the corner, and a certified root count at the corner p = 2n - 1 of
+    m = 3: all ``roots.degree`` complex rank-drop points of W, fewer than p
+    of them real."""
 
     margin: float | None = None
     roots: RootCount | None = None
@@ -291,47 +283,40 @@ def certify(T: Tensor3, budget: CertifyBudget | None = None,
             seed: int | np.random.Generator = 0) -> Verdict:
     """Decide whether rank T == p or rank T > p, with explicit witnesses.
 
-    Procedure: form W = iota(sigma(T)) and find its real rank-drop points
-    once, as the real roots of the certified count at the corner below and
-    by one rank-drop search elsewhere; when their phi images span R^p, the
-    resulting p-term reconstruction is verified.  T is first divided by the
-    power of two nearest max |T|, so that residuals stay finite at any
-    scale.
+    Form W = iota(sigma(T)), after dividing T by the power of two nearest
+    max |T| so that residuals stay finite at any scale.  Real rank-drop
+    points of W whose phi images span R^p give a p-term reconstruction,
+    which is verified; that is RankP.  Where the points come from, and
+    what decides rank > p without them, depends on the region:
 
-    Without a certificate, rank > p is decided in one of two ways.
+    - the corner p = (m-1)(n-1) + 1 with m = 3, where W is (n+1) x n: one
+      ``corner_root_count``.  Its certified real roots are the points, and
+      fewer than p of them give rank > p.  A count that does not certify
+      gives Inconclusive with the diagnostic ``count: "uncertified"``.
+    - elsewhere: one ``rank_drop_search``.  A found point rules out
+      rank > p.  Only a search that ran and found no point runs the margin
+      estimate ``afcr_margin_info`` (``margin_restarts`` starts,
+      ``margin_iters`` rounds), and its best-found value above
+      ``TOL_MARGIN`` gives rank > p.
+    - no solver for the shape (n^k above ``pencil.MAX_KRON``, with
+      k = u - n + 1): Inconclusive with the diagnostic ``search: "none"``.
 
-    At the corner p = (m-1)(n-1) + 1 with m = 3, where W is (n+1) x n, it
-    rests on the converse of that construction.  Lemma: if the complex
-    rank-drop locus of W in P^2 is finite and the kernel at each of its
-    points is one-dimensional, then rank T == p implies that at least p of
-    its points are real.  Proof: a p-term decomposition of T gives p real
-    rank-drop points (d_j, b_j) with independent phi images, so no two
-    pairs are proportional, and with one-dimensional kernels the d_j are p
-    distinct real points of the locus.  A finite locus has degree
-    C(u, n-1) counted with multiplicity.  ``corner_root_count`` checks that
-    the locus is finite (a nonsingular Delta0 in its two-parameter solve)
-    and certifies C(u, n-1) pairwise distinct simple roots, so it has found
-    every point, each with a one-dimensional kernel; fewer than p real
-    roots among them give rank > p.  The same real roots, Newton-polished,
-    are the points the rank-p certificate is assembled from, so no search
-    runs when the count certifies.  This is a floating-point certificate,
-    its Newton-Kantorovich balls computed in floating point with slack for
-    rounding, not interval arithmetic.  The
-    dichotomy of Sumi, Miyazaki and Sakata (the real locus is empty or
-    Zariski-dense) covers p >= (m-1)(n-1) + 2 only; at the corner the locus
-    is finite instead, which is what makes the count possible.
-
-    Elsewhere, and at the corner when the count does not certify, rank > p
-    means full column rank of W on the whole sphere, so a found point
-    (sigma_n / sigma_1 below ``pencil.TOL_RANKDROP``) rules it out and the
-    verdict is Inconclusive.  So is it, with the diagnostic ``search:
-    "none"``, where no search ran (n^k above ``pencil.MAX_KRON``, with
-    k = u - n + 1).  Only a search that ran and found no point runs the
-    margin estimate ``afcr_margin_info``: alternating minimisation of
-    |M(a, W) b| over unit a and unit b from ``margin_restarts`` starts in
-    one batch, each half-step an exact smallest-singular-vector solve,
-    until no start descends by a relative 1e-12 or ``margin_iters`` rounds
-    have run.  Its best-found value above ``TOL_MARGIN`` gives rank > p.
+    Why the count decides the corner.  Lemma: if the complex rank-drop
+    locus of W in P^2 is finite and the kernel at each of its points is
+    one-dimensional, then rank T == p implies that at least p of its points
+    are real.  Proof: a p-term decomposition of T gives p real rank-drop
+    points (d_j, b_j) with independent phi images, so no two pairs are
+    proportional, and with one-dimensional kernels the d_j are p distinct
+    real points of the locus.  A finite locus has degree C(u, n-1) counted
+    with multiplicity.  ``corner_root_count`` checks that the locus is
+    finite (a nonsingular Delta0 in its two-parameter solve) and certifies
+    C(u, n-1) pairwise distinct simple roots, so it has found every point,
+    each with a one-dimensional kernel.  This is a floating-point
+    certificate, its Newton-Kantorovich balls computed in floating point
+    with slack for rounding, not interval arithmetic.  The dichotomy of
+    Sumi, Miyazaki and Sakata (the real locus is empty or Zariski-dense)
+    covers p >= (m-1)(n-1) + 2 only; at the corner the locus is finite
+    instead, which is what makes the count possible.
     """
     budget = budget or CertifyBudget()
     rng = np.random.default_rng(seed)
@@ -339,27 +324,30 @@ def certify(T: Tensor3, budget: CertifyBudget | None = None,
     T = _binary_scaled(T)[0]
     W = iota_tensor(sigma(T), dims.n, dims.m)
 
-    diagnostics: dict = {}
-    roots = None
     if (dims.m, dims.u) == (3, dims.n + 1):
         roots = corner_root_count(W, seed=rng)
-        diagnostics["degree"] = math.comb(dims.u, dims.n - 1)
-        diagnostics["roots_found"] = diagnostics["roots_real"] = None
-        if roots is not None:
-            diagnostics["roots_found"] = len(roots.roots)
-            diagnostics["roots_real"] = int(roots.real.sum())
-    if roots is None:
-        found = rank_drop_search(W, seed=rng)
-        if found is None:  # no solver for this shape: nothing was searched
-            return Inconclusive(diagnostics={**diagnostics, "search": "none"})
-    else:  # the certified real roots are every real rank-drop point
-        found = _kernel_points(W, roots.roots[roots.real].real)
+        diagnostics = {"degree": math.comb(dims.u, dims.n - 1)}
+        if roots is None:
+            return Inconclusive(diagnostics={**diagnostics,
+                                             "count": "uncertified"})
+        real = roots.roots[roots.real].real
+        diagnostics.update(roots_found=len(roots.roots), roots_real=len(real))
+        found = _kernel_points(W, real)
+        cert = _collect_certificate(T, W, dims, found, diagnostics)
+        if cert is not None:
+            return RankP(certificate=cert, diagnostics=diagnostics)
+        if len(real) < dims.p:
+            return RankExceedsP(roots=roots)
+        return Inconclusive(diagnostics=diagnostics)
+
+    diagnostics = {}
+    found = rank_drop_search(W, seed=rng)
+    if found is None:  # no solver for this shape: nothing was searched
+        return Inconclusive(diagnostics={"search": "none"})
     cert = _collect_certificate(T, W, dims, found, diagnostics)
     if cert is not None:
         return RankP(certificate=cert, diagnostics=diagnostics)
-    if roots is not None and roots.real.sum() < dims.p:
-        return RankExceedsP(roots=roots)
-    if found or roots is not None:  # a real point rules out rank > p
+    if found:  # a real point rules out rank > p
         return Inconclusive(diagnostics=diagnostics)
 
     margin_budget = MarginBudget(restarts=budget.margin_restarts,

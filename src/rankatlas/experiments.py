@@ -10,9 +10,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .certify import NotInVError, RankExceedsP, RankP, _require_ints, certify
+from .certify import NotInVError, RankExceedsP, RankP, certify
 from .classify import classify
-from .pencil import ProblemDims, Tensor3
+from .pencil import ProblemDims, Tensor3, _require_ints
 
 __all__ = [
     "AlsBudget",
@@ -48,8 +48,8 @@ class AlsBudget:
     polish_iters: int = 2000  # a cap; an exact fit or a vanishing step ends it
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("ALS budget needs at least one restart")
+        _require_ints(self, ("restarts",), least=1)
+        _require_ints(self, ("sweeps", "polish_iters"), least=0)
 
 
 def _khatri_rao(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -238,21 +238,17 @@ class ExperimentConfig:
     csv_path: str | None = None
     json_path: str | None = None
     threads: int = 1  # ignored; goes with ROADMAP item 8's benchmark
-    include_timings: bool = True
 
     def __post_init__(self):
-        _require_ints(self, ("n", "p", "m", "samples", "seed", "als_restarts",
-                             "als_sweeps"))
-        for name in ("run_als", "include_timings"):
-            if type(getattr(self, name)) is not bool:
-                raise TypeError(f"{name} must be a bool: "
-                                f"{getattr(self, name)!r}")
+        _require_ints(self, ("n", "p", "m", "seed", "als_restarts",
+                             "als_sweeps", "threads"))
+        _require_ints(self, ("samples",), least=1)
+        if type(self.run_als) is not bool:
+            raise TypeError(f"run_als must be a bool: {self.run_als!r}")
         for name in ("csv_path", "json_path"):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise TypeError(f"{name} must be a string or null: "
                                 f"{getattr(self, name)!r}")
-        if self.samples < 1:
-            raise ValueError("sample count must be >= 1")
         ProblemDims(self.m, self.n, self.p)  # inside the certifiable window
         AlsBudget(restarts=self.als_restarts, sweeps=self.als_sweeps)
 
@@ -324,7 +320,7 @@ def _run_one(cfg: ExperimentConfig, idx: int) -> SampleRow:
         als_rng = np.random.default_rng([cfg.seed, idx, 1])
         als_p = als_fit(T, cfg.p, als_budget, seed=als_rng)
         als_p1 = als_fit(T, cfg.p + 1, als_budget, seed=als_rng)
-    wall_ms = (time.perf_counter() - t0) * 1000.0 if cfg.include_timings else 0.0
+    wall_ms = (time.perf_counter() - t0) * 1000.0
     if verdict is None:
         return SampleRow(idx, "NotInV", None, als_p, als_p1, None, None, wall_ms)
     residual = points = span = None

@@ -333,14 +333,25 @@ TOL_RANKDROP = 1e-8  # sigma_n / sigma_1 below which a is a rank-drop point
 TOL_MARGIN = 1e-6  # normalised margin above which a pencil has full rank
 
 
+def _require_ints(obj, names, least=None) -> None:
+    """TypeError unless each named field of ``obj`` is an int, not a bool;
+    ValueError if one is below ``least``."""
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int: {value!r}")
+        if least is not None and value < least:
+            raise ValueError(f"{name} must be >= {least}: {value}")
+
+
 @dataclass(frozen=True)
 class MarginBudget:
     restarts: int = 60
     iters: int = 500  # alternating rounds
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("margin budget needs at least one restart")
+        _require_ints(self, ("restarts",), least=1)
+        _require_ints(self, ("iters",), least=0)
 
 
 @dataclass(frozen=True)

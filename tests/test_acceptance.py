@@ -45,12 +45,9 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 
 RUN_CONFIGS = {
-    "3x6x3": ExperimentConfig(n=3, p=6, m=3, samples=200, seed=2024,
-                              include_timings=False),
-    "3x5x3": ExperimentConfig(n=3, p=5, m=3, samples=100, seed=2025,
-                              include_timings=False),
-    "4x12x4": ExperimentConfig(n=4, p=12, m=4, samples=200, seed=2026,
-                               include_timings=False),
+    "3x6x3": ExperimentConfig(n=3, p=6, m=3, samples=200, seed=2024),
+    "3x5x3": ExperimentConfig(n=3, p=5, m=3, samples=100, seed=2025),
+    "4x12x4": ExperimentConfig(n=4, p=12, m=4, samples=200, seed=2026),
 }
 
 # Rank 13 is typical at 4x12x4 (its rank set is open and nonempty), but the

@@ -249,6 +249,12 @@ class TestCertify:
         with pytest.raises(ValueError):
             CertifyBudget(search_rounds=0)
 
+    @pytest.mark.parametrize("fields", [{"margin_iters": -1},
+                                        {"search_restarts": 0}])
+    def test_budget_counts_have_a_floor(self, fields):
+        with pytest.raises(ValueError):
+            CertifyBudget(**fields)
+
     def test_inconclusive_diagnostics(self, monkeypatch):
         # a search on one line finds too few points to span R^6
         monkeypatch.setattr(pencil, "LINES", 1)
@@ -340,8 +346,11 @@ class TestCertify:
 
     def test_corner_makes_one_two_parameter_solve(self, monkeypatch):
         # the root count's solve is the only one: its real roots are the
-        # points a rank-p certificate is assembled from
+        # points a rank-p certificate is assembled from, and no search or
+        # margin runs, whatever the count finds.  sigma(T) = 0 gives the
+        # pencil a line of rank-drop points, so its count does not certify
         pencil_mod = importlib.import_module("rankatlas.pencil")
+        certify_mod = importlib.import_module("rankatlas.certify")
         solve = pencil_mod._slice_candidates
         calls = []
 
@@ -349,14 +358,24 @@ class TestCertify:
             calls.append(1)
             return solve(*args, **kwargs)
 
+        def never(*args, **kwargs):
+            raise AssertionError("a search or margin ran at the corner")
+
         monkeypatch.setattr(pencil_mod, "_slice_candidates", counting_solve)
+        monkeypatch.setattr(certify_mod, "rank_drop_search", never)
+        monkeypatch.setattr(certify_mod, "afcr_margin_info", never)
         rect = Tensor3(np.random.default_rng(14).standard_normal((3, 3, 5)))
+        line = tensor_from_fl2(np.vstack([np.eye(5), np.zeros((4, 5))]), 3, 3)
         planted = rank_terms_tensor(np.random.default_rng(41), 3, 5, 3, 5)
-        for T, kind in ((rect, "RankExceedsP"), (planted, "RankP")):
+        for T, kind in ((rect, "RankExceedsP"), (line, "Inconclusive"),
+                        (planted, "RankP")):
             calls.clear()
             verdict = certify(T, seed=0)
             assert verdict.kind == kind
             assert len(calls) == 1
+            if T is line:
+                assert verdict.diagnostics == {"degree": 6,
+                                               "count": "uncertified"}
         assert verdict.diagnostics["degree"] == 6
         assert verdict.diagnostics["roots_found"] == 6
         assert verdict.diagnostics["roots_real"] >= 5
@@ -444,21 +463,24 @@ class TestRootCountVerdict:
             assert verdict.diagnostics["roots_found"] == 6
             assert verdict.diagnostics["roots_real"] >= 5
 
-    def test_count_unavailable_keeps_old_verdict(self, monkeypatch):
+    def test_uncertified_count_is_inconclusive(self, monkeypatch):
+        # the count alone decides the corner: without it no search supplies
+        # points and no margin estimate claims rank > p
         certify_mod = importlib.import_module("rankatlas.certify")
+
+        def never(*args, **kwargs):
+            raise AssertionError("a search or margin ran at the corner")
+
         monkeypatch.setattr(certify_mod, "corner_root_count",
                             lambda *args, **kwargs: None)
+        monkeypatch.setattr(certify_mod, "rank_drop_search", never)
+        monkeypatch.setattr(certify_mod, "afcr_margin_info", never)
         rng = np.random.default_rng(14)
-        verdicts = [certify(Tensor3(rng.standard_normal((3, 3, 5))), seed=i)
-                    for i in range(5)]
-        for verdict in verdicts[:4]:
+        for i in range(5):
+            verdict = certify(Tensor3(rng.standard_normal((3, 3, 5))), seed=i)
             assert isinstance(verdict, Inconclusive)
-            assert verdict.diagnostics["points_found"] == 2
-            assert verdict.diagnostics["degree"] == 6
-            assert verdict.diagnostics["roots_found"] is None
-        # sample 4 has no real point, and the margin estimate decides it
-        assert isinstance(verdicts[4], RankExceedsP)
-        assert verdicts[4].roots is None and verdicts[4].margin > 1e-6
+            assert verdict.diagnostics == {"degree": 6,
+                                           "count": "uncertified"}
 
     def test_als_does_not_fit_newly_decided_samples(self):
         # samples the count decides and the search alone left Inconclusive

@@ -200,7 +200,6 @@ class TestExperimentCommand:
         cfg = {
             "n": 3, "p": 6, "m": 3, "samples": 3, "seed": 4,
             "csv_path": str(tmp_path / "rows.csv"),
-            "include_timings": False,
         }
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -211,8 +210,7 @@ class TestExperimentCommand:
         assert (tmp_path / "rows.csv").exists()
 
     def test_seed_override(self, capsys, tmp_path):
-        cfg = {"n": 3, "p": 6, "m": 3, "samples": 2, "seed": 4,
-               "include_timings": False}
+        cfg = {"n": 3, "p": 6, "m": 3, "samples": 2, "seed": 4}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         _, out1, _ = invoke(capsys, "experiment", str(path), "--seed", "9")
@@ -239,7 +237,8 @@ class TestExperimentCommand:
         {"samples": True},
         {"certify_budget": {"residual_tol": 1.0}},  # the gates are fixed
         {"run_als": "no"},
-        {"include_timings": 1},
+        {"include_timings": False},  # an unknown key
+        {"threads": "x"},
         {"csv_path": True},
         {"json_path": 3},
         {"run_als": True, "als_restarts": 0},  # no restart fits nothing

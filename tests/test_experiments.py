@@ -14,6 +14,7 @@ from rankatlas.experiments import (
     terracini_generic_rank,
 )
 from rankatlas.pencil import Tensor3
+from tests_helpers import csv_without_wall_ms
 
 
 class TestSampling:
@@ -55,6 +56,18 @@ class TestAls:
         # with no restart als_fit would fit nothing and report inf
         with pytest.raises(ValueError):
             AlsBudget(restarts=restarts)
+
+    @pytest.mark.parametrize("fields,error", [
+        ({"restarts": 1.5}, TypeError),
+        ({"restarts": True}, TypeError),
+        ({"sweeps": 2.0}, TypeError),
+        ({"polish_iters": False}, TypeError),
+        ({"sweeps": -1}, ValueError),  # would act as 0 sweeps
+        ({"polish_iters": -1}, ValueError),
+    ])
+    def test_budget_fields_are_counts(self, fields, error):
+        with pytest.raises(error):
+            AlsBudget(**fields)
 
     @pytest.mark.parametrize("d1,d2,d3,r", [(3, 6, 3, 6), (4, 12, 4, 12),
                                              (3, 5, 3, 5)])
@@ -145,8 +158,7 @@ class TestRunExperiment:
         cfg = ExperimentConfig(
             n=3, p=6, m=3, samples=6, seed=7,
             csv_path=str(tmp_path / "rows.csv"),
-            json_path=str(tmp_path / "summary.json"),
-            include_timings=False)
+            json_path=str(tmp_path / "summary.json"))
         report = run_experiment(cfg)
         assert abs(sum(report.frequencies.values()) - 1.0) < 1e-12
         assert report.frequencies.get("RankP", 0) > 0.5
@@ -160,31 +172,28 @@ class TestRunExperiment:
         assert "{6}" in summary["prediction"]
 
     def test_deterministic_bytes_without_timings(self):
-        cfg = ExperimentConfig(n=3, p=6, m=3, samples=5, seed=3,
-                               include_timings=False)
-        a = run_experiment(cfg).to_csv()
-        b = run_experiment(cfg).to_csv()
+        cfg = ExperimentConfig(n=3, p=6, m=3, samples=5, seed=3)
+        a = csv_without_wall_ms(run_experiment(cfg))
+        b = csv_without_wall_ms(run_experiment(cfg))
         assert a == b
 
     def test_thread_count_does_not_change_rows(self):
-        base = ExperimentConfig(n=3, p=6, m=3, samples=6, seed=5,
-                                include_timings=False)
+        base = ExperimentConfig(n=3, p=6, m=3, samples=6, seed=5)
         threaded = ExperimentConfig(n=3, p=6, m=3, samples=6, seed=5,
-                                    include_timings=False, threads=3)
-        assert run_experiment(base).to_csv() == run_experiment(threaded).to_csv()
+                                    threads=3)
+        assert (csv_without_wall_ms(run_experiment(base))
+                == csv_without_wall_ms(run_experiment(threaded)))
 
     def test_als_columns_filled_when_enabled(self):
         cfg = ExperimentConfig(n=3, p=6, m=3, samples=2, seed=2,
-                               run_als=True, als_restarts=2, als_sweeps=120,
-                               include_timings=False)
+                               run_als=True, als_restarts=2, als_sweeps=120)
         report = run_experiment(cfg)
         for row in report.rows:
             assert row.als_p is not None and row.als_p1 is not None
 
     def test_als_columns_do_not_depend_on_certify_draws(self, monkeypatch):
         cfg = ExperimentConfig(n=3, p=5, m=3, samples=3, seed=3, run_als=True,
-                               als_restarts=1, als_sweeps=50,
-                               include_timings=False)
+                               als_restarts=1, als_sweeps=50)
 
         def als_columns():
             return [(r.als_p, r.als_p1) for r in run_experiment(cfg).rows]
@@ -206,8 +215,7 @@ class TestRunExperiment:
         data[0] = 0.0
         monkeypatch.setattr(experiments, "sample_gaussian_tensor",
                             lambda dims, rng: Tensor3(data))
-        cfg = ExperimentConfig(n=3, p=6, m=3, samples=2, seed=1,
-                               include_timings=False)
+        cfg = ExperimentConfig(n=3, p=6, m=3, samples=2, seed=1)
         report = run_experiment(cfg)
         assert [r.verdict for r in report.rows] == ["NotInV", "NotInV"]
         assert report.frequencies == {"NotInV": 1.0}
@@ -229,8 +237,7 @@ class TestPluralRegimeObservation:
         from rankatlas.classify import classify
 
         assert classify(3, 3, 5).ranks == (5, 6)
-        cfg = ExperimentConfig(n=3, p=5, m=3, samples=100, seed=2025,
-                               include_timings=False)
+        cfg = ExperimentConfig(n=3, p=5, m=3, samples=100, seed=2025)
         report = run_experiment(cfg)
         assert report.frequencies.get("RankP", 0) > 0
         assert report.frequencies.get("RankExceedsP", 0) > 0
@@ -240,8 +247,7 @@ class TestAlsCrossChecks:
     def test_rankp_samples_fit_at_p(self):
         # independent-method agreement: ALS reaches 1e-3 on most RankP samples
         cfg = ExperimentConfig(n=3, p=6, m=3, samples=12, seed=11,
-                               run_als=True, als_restarts=3, als_sweeps=300,
-                               include_timings=False)
+                               run_als=True, als_restarts=3, als_sweeps=300)
         report = run_experiment(cfg)
         rankp = [r for r in report.rows if r.verdict == "RankP"]
         assert rankp

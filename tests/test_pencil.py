@@ -291,6 +291,16 @@ class TestAfcrMargin:
         with pytest.raises(ValueError):
             MarginBudget(restarts=0)
 
+    @pytest.mark.parametrize("fields,error", [
+        ({"restarts": 2.5}, TypeError),
+        ({"restarts": True}, TypeError),
+        ({"iters": 2.0}, TypeError),
+        ({"iters": -1}, ValueError),  # would act as 0 rounds
+    ])
+    def test_budget_fields_are_counts(self, fields, error):
+        with pytest.raises(error):
+            MarginBudget(**fields)
+
     @pytest.mark.parametrize("i", [1, 2, 5])
     def test_planted_zero_found(self, i):
         # a 9x5x5 pencil is generically of full rank, and no structured

@@ -22,6 +22,14 @@ def quaternion_high_rank_tensor():
     return tensor_from_fl2(F, 4, 4)
 
 
+def csv_without_wall_ms(report) -> str:
+    """An experiment report's CSV without its last column, ``wall_ms``:
+    the rows of two runs compare equal only without their timings."""
+    lines = report.to_csv().splitlines()
+    assert lines[0].endswith(",wall_ms")
+    return "\n".join(line.rsplit(",", 1)[0] for line in lines)
+
+
 def peak_alloc_mb(fn) -> float:
     """Peak memory traced by tracemalloc while ``fn()`` runs, in MB."""
     tracemalloc.start()
