@@ -155,7 +155,7 @@ class ProblemDims:
     """Integer frame for the rank-p problem on n x p x m tensors.
 
     Derived quantities: u = mn - p (pencil height), l = (m-1)n - p,
-    v = l + 1 (codimension of the rank-drop locus), t = n.
+    v = l + 1 (codimension of the rank-drop locus).
     """
 
     m: int
@@ -182,10 +182,6 @@ class ProblemDims:
     @property
     def v(self) -> int:
         return self.l + 1
-
-    @property
-    def t(self) -> int:
-        return self.n
 
 
 def flatten(T: Tensor3, mode: int) -> np.ndarray:
@@ -372,7 +368,7 @@ class RootCount:
     """The complex rank-drop points of a pencil, each certified in its own
     ball: ``roots`` holds them as unit vectors a (the real ones real, with
     canonical sign), ``real`` marks the real ones and ``radii`` are the
-    ball radii in the coordinates (x, y, b) of the count."""
+    ball radii in the coordinates (x, b) of the count."""
 
     degree: int
     roots: np.ndarray = field(repr=False)
@@ -399,16 +395,12 @@ def _pencils(a: np.ndarray, Y: Tensor3) -> np.ndarray:
     return np.einsum("rk,kij->rij", a, Y.data)
 
 
-def _pencil_eigvals(A: np.ndarray, B: np.ndarray):
-    """Homogeneous eigenvalues (alpha, beta) with det(beta A - alpha B) = 0,
-    for one pencil or a stack of them.
-
-    The basis (A, B) is rotated to (cA + sB, cB - sA), c = cos t and
-    s = sin t, at the angle t in {0, pi/4, pi/2, 3pi/4} whose second matrix
-    is best conditioned, so that the ordinary eigenvalues of B'^-1 A' can
-    be taken; they are rotated back.  The angles are rated one rotated
-    copy at a time, so that memory holds one copy of the stack, not four.
-    """
+def _rotated_pencil(A: np.ndarray, B: np.ndarray):
+    """B'^-1 A' for a stack of pencils (A, B) rotated to (A', B') =
+    (cA + sB, cB - sA), c = cos t, s = sin t, and the angles t, each the
+    one of {0, pi/4, pi/2, 3pi/4} whose B' is best conditioned (rated one
+    rotated copy at a time).  An eigenvalue lam of B'^-1 A' is the
+    eigenvalue (lam c - s, c + lam s) of (A, B), with the same vector."""
     t = np.pi / 4 * np.arange(4)
     c, s = np.cos(t), np.sin(t)
     ratio = []
@@ -416,18 +408,16 @@ def _pencil_eigvals(A: np.ndarray, B: np.ndarray):
         sv = np.linalg.svd(c[i] * B - s[i] * A, compute_uv=False)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio.append(np.nan_to_num(sv[..., -1] / sv[..., 0]))
-    best = np.argmax(ratio, axis=0)
-    c, s = c[best][..., None, None], s[best][..., None, None]
-    lam = np.linalg.eigvals(np.linalg.solve(c * B - s * A, c * A + s * B))
-    t = np.pi / 4 * best[..., None]
-    return lam * np.cos(t) - np.sin(t), np.cos(t) + lam * np.sin(t)
+    best = np.argmax(ratio, axis=0)[..., None]
+    c, s = c[best][..., None], s[best][..., None]
+    return np.linalg.solve(c * B - s * A, c * A + s * B), np.pi / 4 * best
 
 
 def _realified(A: np.ndarray) -> np.ndarray:
     """[[Re A, -Im A], [Im A, Re A]] for complex r x c matrices A, stacked:
     it maps (Re v, Im v) to (Re Av, Im Av), has the singular values of A
-    twice and the eigenvalues of A and their conjugates.  The root count
-    works on it so that only the real LAPACK routines the search loads run.
+    twice and the eigenvalues of A and their conjugates.  Complex systems
+    are solved on it, so that only the real LAPACK routines are loaded.
     """
     return np.block([[A.real, -A.imag], [A.imag, A.real]])
 
@@ -449,88 +439,117 @@ def _operator_det(V: np.ndarray) -> np.ndarray:
                for s in itertools.permutations(range(V.shape[-3])))
 
 
-def _slice_candidates(Y: Tensor3, rng, slices: int, real_x: bool):
-    """Candidates x of the k-parameter solver on ``slices`` random
-    (k+1)-dim slices of a pencil with u = n + k - 1 rows, all in one batch.
-    Slice s is a = (1, x) R_s, R_s the first k + 1 rows of a random
-    orthogonal m x m matrix, so |a| = |(1, x)|; one slice of a pencil with
-    m = k + 1 is the whole pencil in a random basis.  On each slice
-    M(1, x) b = 0 is compressed by k random n x u projections into k
-    square k-parameter eigenproblems.  x_1 solves Delta1 z = x_1 Delta0 z,
-    Delta their Kronecker operator determinants (Atkinson); at each x_1
-    the first k-1 compressions are solved the same way, down to a square
-    pencil for x_k.  The branch axis carries the slice and then the roots
-    so far, so each level is one batched eigenvalue call over all slices.
-    Returns R, Delta0 of slice 0, the finite x, spurious compression roots
-    among them, and the slice of each x.  With ``real_x`` only real
-    x_1 ... x_(k-1) are followed; otherwise levels below the first solve
-    realified pencils, so that each root comes with its conjugate.  Raises
-    LinAlgError when an eigenvalue solve fails."""
+def _slice_candidates(Y: Tensor3, rng, slices: int):
+    """Candidates x, n^k at most per slice, on ``slices`` random (k+1)-dim
+    slices a = (1, x) R_s of a pencil with u = n + k - 1 rows (R_s: k + 1
+    rows of a random orthogonal matrix; with m = k + 1, the whole pencil).
+    k random n x u compressions of M(1, x) b = 0 give Delta1 z = x_1 Delta0 z
+    (Kronecker operator determinants, Atkinson), solved slice by slice.
+    Its eigenvector is b_1 x ... x b_k, b_i a kernel vector of compression
+    i, and on the locus every b_i is the kernel vector b of M(1, x): so b
+    is its first factor, and x_2 ... x_k solve M(1, x) b = 0 by least
+    squares (at k = 1, one batched eigenvalue call takes no vectors).
+    Returns R, Delta0 of slice 0, the finite x (spurious compression roots,
+    whose factors differ, among them) and each one's slice.  Raises
+    LinAlgError when an eigenvalue or least squares solve fails."""
     m, u, n = Y.d3, Y.d1, Y.d2
     k = u - n + 1
     R = np.linalg.qr(rng.standard_normal((slices, m, m)))[0][:, :k + 1]
     Z = np.einsum("skl,lij->skij", R, Y.data)
     P = rng.standard_normal((slices, k, n, u))
-    # V[r, i, j]: compression i of slice j, on branch r of the roots so far
-    V = P[:, :, None] @ Z[:, None]
-    X, branches = np.empty((slices, 0)), np.arange(slices)
-    for level in range(k):
-        last = level == k - 1
-        if last:  # one parameter left: a square pencil
-            A, B = V[:, 0, 0], -V[:, 0, 1]
-        else:
-            A = _operator_det(np.concatenate([-V[:, :, :1], V[:, :, 2:]], 2))
-            B = _operator_det(V[:, :, 1:])
-        if level == 0:
-            D0 = B[0]
-        if level > 0 and not real_x:
-            A, B = _realified(A + 0j), _realified(B + 0j)
-        al, be = _pencil_eigvals(A, B)
-        finite = np.abs(be) >= 1e-10 * np.maximum(1.0, np.abs(al))
-        branch, x = np.nonzero(finite)[0], al[finite] / be[finite]
-        if real_x and not last:  # a real root needs this parameter real
-            keep = np.abs(x.imag) <= 1e-7 * (1.0 + np.abs(x.real))
-            branch, x = branch[keep], x[keep].real
-        X, branches = np.column_stack([X[branch], x]), branches[branch]
-        if not last:  # x into all compressions but the last
-            V = V[branch, :-1]
-            V = np.concatenate([V[:, :, :1] + x[:, None, None, None, None]
-                                * V[:, :, 1:2], V[:, :, 2:]], axis=2)
-    return R, D0, X, branches
+    V = P[:, :, None] @ Z[:, None]  # V[s, i, j]: compression i of Z_sj
+    B = _operator_det(V[:, :, 1:])
+    C, t = _rotated_pencil(
+        _operator_det(np.concatenate([-V[:, :, :1], V[:, :, 2:]], 2)), B)
+    if k == 1:
+        lam = np.linalg.eigvals(C)
+    else:  # Zb[s, r, l]: Z_sl b for the factor b of eigenvector r
+        lam = np.empty(C.shape[:2], complex)
+        Zb = np.empty(C.shape[:2] + (k + 1, u), complex)
+        for s in range(slices):
+            lam[s], z = np.linalg.eig(C[s])
+            z = z.T.reshape(len(z), n, -1)
+            b = z[np.arange(len(z)), :,
+                  np.argmax(np.linalg.norm(z, axis=1), axis=1)]
+            Zb[s] = np.einsum("lij,rj->rli", Z[s], b)
+    al, be = lam * np.cos(t) - np.sin(t), np.cos(t) + lam * np.sin(t)
+    finite = np.abs(be) >= 1e-10 * np.maximum(1.0, np.abs(al))
+    rows, x = np.nonzero(finite)[0], al[finite] / be[finite]
+    if k == 1:
+        return R, B[0], x[:, None], rows
+    # normal equations of A y = -(Z_0 + x_1 Z_1) b, A = [Z_2 b ... Z_k b]
+    A, Zb = Zb[finite, 2:], Zb[finite]
+    h = -np.einsum("rli,ri->rl", A.conj(), Zb[:, 0] + x[:, None] * Zb[:, 1])
+    y = np.linalg.solve(_realified(np.einsum("rli,rmi->rlm", A.conj(), A)),
+                        np.concatenate([h.real, h.imag], 1)[..., None])[..., 0]
+    y = y[:, :k - 1] + 1j * y[:, k - 1:]
+    return R, B[0], np.column_stack([x, y]), rows
 
 
-def _kernel_system(Z: np.ndarray, z: np.ndarray, k: np.ndarray):
-    """Residuals F and Jacobians J of the square systems
-    M(1, x, y) b = 0, b_k = 1 (n+2 equations in z = (x, y, b)), stacked
-    over the rows of ``z`` and the entries of ``k``."""
-    r = np.arange(len(z))
-    x, y, b = z[:, 0, None], z[:, 1, None], z[:, 2:]
-    M = Z[0] + x[..., None] * Z[1] + y[..., None] * Z[2]
+def _kernel_system(Z: np.ndarray, z: np.ndarray, j: np.ndarray):
+    """Residuals F and Jacobians J of the square systems M(1, x) b = 0,
+    b_j = 1 in z = (x_1 ... x_k, b), stacked over the rows of ``z``, their
+    charts Z (a (k+1)-slice pencil per row) and the entries of ``j``."""
+    r, k = np.arange(len(z)), Z.shape[1] - 1
+    x, b = z[:, :k], z[:, k:]
+    M = Z[:, 0] + np.einsum("rl,rlij->rij", x, Z[:, 1:])
     F = np.concatenate([np.einsum("rij,rj->ri", M, b),
-                        b[r, k, None] - 1.0], axis=1)
+                        b[r, j, None] - 1.0], axis=1)
     J = np.zeros((len(z),) + (z.shape[1],) * 2, dtype=z.dtype)
-    J[:, :-1, :2] = np.einsum("rj,kij->rik", b, Z[1:])
-    J[:, :-1, 2:] = M
-    J[r, -1, 2 + k] = 1.0
+    J[:, :-1, :k] = np.einsum("rlij,rj->ril", Z[:, 1:], b)
+    J[:, :-1, k:] = M
+    J[r, -1, k + j] = 1.0
     return F, J
 
 
-def _kantorovich_radii(Z: np.ndarray, z: np.ndarray, k: np.ndarray):
+def _newton(Z: np.ndarray, x: np.ndarray, b: np.ndarray):
+    """z = (x, b / b_j), j the largest entry of b, after four Newton steps
+    on ``_kernel_system`` in the charts Z (complex rows realified), which
+    stop at a singular Jacobian; a row that leaves the finite range keeps
+    its start.  Returns z and j."""
+    j = np.argmax(np.abs(b), axis=1)
+    z = start = np.column_stack([x, b / b[np.arange(len(b)), j, None]])
+    d, realify = z.shape[1], np.iscomplexobj(z)
+    try:
+        for _ in range(4):
+            F, J = _kernel_system(Z, z, j)
+            if realify:
+                F, J = np.concatenate([F.real, F.imag], 1), _realified(J)
+            step = np.linalg.solve(J, F[..., None])[..., 0]
+            z = z - (step[:, :d] + 1j * step[:, d:] if realify else step)
+    except np.linalg.LinAlgError:
+        pass
+    return np.where(np.isfinite(z).all(axis=1, keepdims=True), z, start), j
+
+
+def _near_kernels(Y: Tensor3, a: np.ndarray):
+    """The mask of the rows of ``a``, real or complex (realified), with
+    sigma_n / sigma_1 of M(a, Y) below 1e-6, close enough to start
+    ``_newton``, and the last right singular vector b of each one kept."""
+    M, n = _pencils(a, Y), Y.d2
+    _, s, Vh = np.linalg.svd(_realified(M) if np.iscomplexobj(M) else M)
+    near = s[:, -1] < 1e-6 * s[:, 0]
+    b = Vh[near, -1]
+    return near, b[:, :n] + 1j * b[:, n:] if np.iscomplexobj(M) else b
+
+
+def _kantorovich_radii(Z: np.ndarray, z: np.ndarray, j: np.ndarray):
     """Newton-Kantorovich ball radius 2 eta around each row of ``z``, or
-    inf where the test h = beta L eta <= 1/4 fails.
+    inf where the test h = beta L eta <= 1/4 fails, in the one chart Z.
 
     beta = |J^-1| and eta = |J^-1 F| at the centre, eta also covering the
-    rounding error of evaluating F.  F is bilinear in ((x, y), b), so
-    L = 2 sqrt(|Z2|^2 + |Z3|^2) bounds the Lipschitz constant of J.  The
-    theorem asks h <= 1/2 for a unique root, simple, within 2 eta; half of
-    it is kept as slack for the rounding in beta and eta.
+    rounding error of evaluating F.  F is bilinear in (x, b), so
+    L = 2 sqrt(sum_(l >= 1) |Z_l|^2) bounds the Lipschitz constant of J.
+    The theorem asks h <= 1/2 for a unique root, simple, within 2 eta; half
+    of it is kept as slack for the rounding in beta and eta.
     """
-    F, J = _kernel_system(Z, z, k)
+    k = len(Z) - 1
+    F, J = _kernel_system(np.broadcast_to(Z, (len(z),) + Z.shape), z, j)
     norms = np.linalg.norm(Z, ord=2, axis=(1, 2))
-    lipschitz = 2.0 * np.hypot(norms[1], norms[2])
+    lipschitz = 2.0 * np.sqrt(np.sum(norms[1:] ** 2))
     f_error = (4 * (z.shape[1] + 1) * np.finfo(float).eps
-               * (norms[0] + np.abs(z[:, :2]) @ norms[1:])
-               * np.linalg.norm(z[:, 2:], axis=1))
+               * (norms[0] + np.abs(z[:, :k]) @ norms[1:])
+               * np.linalg.norm(z[:, k:], axis=1))
     U, s, _ = np.linalg.svd(_realified(J))  # each singular value twice
     beta = 1.0 / s[:, -1]
     step = np.einsum("rji,rj->ri", U, np.concatenate([F.real, F.imag], 1))
@@ -543,33 +562,30 @@ def corner_root_count(Y: Tensor3, seed: int | np.random.Generator = 0
     """Every complex rank-drop point of a 3-slice (n+1) x n pencil, each
     certified in its own ball, or None when the count cannot be certified.
 
-    The complex candidates of ``_slice_candidates`` whose
-    sigma_n / sigma_1 is small are Newton-polished on the square system
-    M(1, x, y) b = 0, b_k = 1 (k the largest entry of b, (1, x, y) an
-    affine chart chosen to keep every candidate far from infinity) and
-    certified by Newton-Kantorovich: a root is real when the ball centred
-    on its real projection certifies, and non-real when its certified ball
-    misses the real space.  The count is returned only when Delta0 is
-    nonsingular, which makes the rank-drop locus finite, of degree
-    C(u, n-1) = C(n+1, 2) counted with multiplicity, and when exactly that
-    many pairwise disjoint balls certify, so that every point of the locus
-    is found once and is simple.  Floating-point evidence, not interval
-    arithmetic.
+    The n^2 complex candidates of ``_slice_candidates`` near the locus
+    (``_near_kernels``) are polished by ``_newton`` in an affine chart
+    (1, x_1, x_2) chosen to keep every one far from infinity, and certified
+    by Newton-Kantorovich: a root is real when the ball centred on its real
+    projection certifies, and non-real when its certified ball misses the
+    real space.  The count is returned only when Delta0 is nonsingular,
+    which makes the rank-drop locus finite, of degree C(u, n-1) = C(n+1, 2)
+    counted with multiplicity, and when exactly that many pairwise
+    disjoint balls certify, so that every point of the locus is found once
+    and is simple.  Floating-point evidence, not interval arithmetic.
     """
     u, n, m = Y.d1, Y.d2, Y.d3
     if (m, u) != (3, n + 1):
         raise ValueError(f"root count needs a 3-slice (n+1) x n pencil, "
                          f"got {u}x{n}x{m}")
-    degree = math.comb(u, n - 1)
+    k, degree = m - 1, math.comb(u, n - 1)
     rng = np.random.default_rng(seed)
     # the locus does not change with scale; an exact power of two keeps
     # the Kronecker products of the solve in range
     Y = _binary_scaled(Y)[0]
     try:
         with np.errstate(all="ignore"):
-            (R,), D0, X, _ = _slice_candidates(Y, rng, 1, real_x=False)
-            s = np.linalg.svd(D0, compute_uv=False)
-            if not s[-1] > 1e-12 * s[0]:
+            (R,), D0, X, _ = _slice_candidates(Y, rng, 1)
+            if not np.linalg.cond(D0) < 1e12:
                 return None
             # complex rows times real matrices by einsum, and a stable sort
             # below: ``@`` and the default argsort would load 0.5 MB of
@@ -577,33 +593,23 @@ def corner_root_count(Y: Tensor3, seed: int | np.random.Generator = 0
             a = np.einsum("rk,kl->rl",
                           np.column_stack([np.ones(len(X)), X]), R)
             a /= np.linalg.norm(a, axis=1, keepdims=True)
-            _, s, Vh = np.linalg.svd(_realified(_pencils(a, Y)))
-            near = s[:, -1] < 1e-6 * s[:, 0]
-            a, b = a[near], Vh[near, -1, :n] + 1j * Vh[near, -1, n:]
-            k = np.argmax(np.abs(b), axis=1)
-            # the chart (1, x, y) in the basis R whose line at infinity is,
-            # of 32 random ones, the farthest from every candidate: a root
-            # near infinity has a large x or y, and its ball does not certify
-            q = rng.standard_normal((32, 3))
+            near, b = _near_kernels(Y, a)
+            a = a[near]
+            # the chart (1, x) in the basis R whose hyperplane at infinity
+            # is, of 32 random ones, the farthest from every candidate: a
+            # root near infinity has a large x, and its ball does not certify
+            q = rng.standard_normal((32, m))
             q /= np.linalg.norm(q, axis=1, keepdims=True)
             best = q[np.argmax(np.min(np.abs(np.einsum("rk,qk->rq", a, q)),
                                       axis=0, initial=1.0))]
             R = np.linalg.qr(np.column_stack(
-                [best, rng.standard_normal((3, 2))]))[0].T
+                [best, rng.standard_normal((m, k))]))[0].T
             Z = np.einsum("kl,lij->kij", R, Y.data)
             a = np.einsum("rk,lk->rl", a, R)
-            z = np.column_stack([a[:, 1:] / a[:, :1],
-                                 b / b[np.arange(len(b)), k, None]])
-            for _ in range(4):  # quadratic convergence from a close start
-                F, J = _kernel_system(Z, z, k)
-                step = np.linalg.solve(_realified(J), np.concatenate(
-                    [F.real, F.imag], axis=1)[..., None])[..., 0]
-                z = z - step[:, :n + 2] - 1j * step[:, n + 2:]
-            z = z[np.isfinite(z).all(axis=1)]
-            k = np.argmax(np.abs(z[:, 2:]), axis=1)
-            z[:, 2:] /= z[np.arange(len(z)), 2 + k, None]
+            z, j = _newton(np.broadcast_to(Z, (len(a),) + Z.shape),
+                           a[:, 1:] / a[:, :1], b)
             centres = np.concatenate([z.real.astype(complex), z])
-            radii = _kantorovich_radii(Z, centres, np.concatenate([k, k]))
+            radii = _kantorovich_radii(Z, centres, np.concatenate([j, j]))
     except np.linalg.LinAlgError:
         return None
     c = len(z)
@@ -611,17 +617,17 @@ def corner_root_count(Y: Tensor3, seed: int | np.random.Generator = 0
     nonreal = ~real & (np.linalg.norm(z.imag, axis=1) > radii[c:])
     centres = np.where(real[:, None], centres[:c], z)
     radii = np.where(real, radii[:c], np.where(nonreal, radii[c:], np.inf))
-    # keep balls pairwise disjoint in (x, y), smallest first: a ball that
-    # meets a kept one holds a root already counted or one beyond the degree
-    xy, kept = centres[:, :2], []
+    # keep balls pairwise disjoint in x, smallest first: a ball that meets
+    # a kept one holds a root already counted or one beyond the degree
+    x, kept = centres[:, :k], []
     for i in np.argsort(radii, kind="stable")[:np.isfinite(radii).sum()]:
-        if all(np.linalg.norm(xy[i] - xy[j]) > radii[i] + radii[j]
+        if all(np.linalg.norm(x[i] - x[j]) > radii[i] + radii[j]
                for j in kept):
             kept.append(i)
     if len(kept) != degree:
         return None
-    xy, real, radii = xy[kept], real[kept], radii[kept]
-    a = np.einsum("rk,kl->rl", np.column_stack([np.ones(degree), xy]), R)
+    x, real, radii = x[kept], real[kept], radii[kept]
+    a = np.einsum("rk,kl->rl", np.column_stack([np.ones(degree), x]), R)
     a /= np.linalg.norm(a, axis=1, keepdims=True)
     a[real] = _canonical_sign(a[real].real)
     return RootCount(degree=degree, roots=a, real=real, radii=radii)
@@ -633,22 +639,32 @@ def _structured_roots(Y: Tensor3, rng):
     k = u - n + 1 of the locus: on 1 slice, the whole pencil, when
     m = k + 1; on ``LINES`` random lines when k = 1 < m - 1; on ``SLICES``
     random (k+1)-dim slices otherwise; none for k > m - 1, an empty locus
-    for generic Y, or n^k above ``MAX_KRON``.  The real roots are mapped
-    back to unit a; no candidate is tested here: ``_kernel_points`` keeps
-    the rank-drop points among them, and ``afcr_margin_info`` starts from
-    the best."""
+    for generic Y, or n^k above ``MAX_KRON``.  Candidates with every
+    coordinate real become unit a, at k >= 2 after those near the locus
+    (``_near_kernels``) are polished by ``_newton`` in their slice.  None
+    is tested here: ``_kernel_points`` keeps the rank-drop points among
+    them, and ``afcr_margin_info`` starts from the best."""
     u, n, m = Y.d1, Y.d2, Y.d3
     k = u - n + 1
+    if u < n:
+        raise ValueError(f"pencil must be tall: u={u} < n={n}")
     if k > m - 1 or n ** k > MAX_KRON:
         return None
     slices = 1 if m == k + 1 else LINES if k == 1 else SLICES
     try:
-        R, _, X, branches = _slice_candidates(Y, rng, slices, real_x=True)
+        R, _, X, rows = _slice_candidates(Y, rng, slices)
+        c = np.column_stack([np.ones(len(X)), X.real])
+        real = np.all(np.abs(X.imag) <= 1e-7 * np.max(
+            np.abs(c), axis=1, keepdims=True), axis=1)
+        c, R = c[real], R[rows[real]]
+        a = np.einsum("rc,rck->rk", c, R)
+        if k > 1:
+            near, b = _near_kernels(Y, a)
+            c[near, 1:] = _newton(np.einsum("rkl,lij->rkij", R[near], Y.data),
+                                  c[near, 1:], b)[0][:, :k]
+            a = np.einsum("rc,rck->rk", c, R)
     except np.linalg.LinAlgError:
         return np.empty((0, m))
-    c = np.column_stack([np.ones(len(X)), X.real])
-    real = np.abs(X[:, -1].imag) <= 1e-7 * np.max(np.abs(c), axis=1)
-    a = np.einsum("rc,rck->rk", c[real], R[branches[real]])
     return a / np.linalg.norm(a, axis=1, keepdims=True)
 
 
@@ -678,9 +694,6 @@ def rank_drop_search(Y: Tensor3, seed: int | np.random.Generator = 0
     search failed, not that no points exist: a real component of the locus
     can miss a real slice.
     """
-    u, n = Y.d1, Y.d2
-    if u < n:
-        raise ValueError(f"pencil must be tall: u={u} < n={n}")
     raw = _structured_roots(Y, np.random.default_rng(seed))
     return None if raw is None else _kernel_points(Y, raw)
 
@@ -714,11 +727,9 @@ def afcr_margin_info(Y: Tensor3, budget: MarginBudget | None = None,
     singular vector of M(a), then a the last right singular vector of the
     u x m matrix [Y_1 b ... Y_m b].  Each half-step is an exact
     minimisation, so no start's value sigma_n(M(a)) rises.  Start 0 is the
-    best of the unit vectors e_k and the raw candidates of
-    ``_structured_roots``, the search's one batched solve on its slices
-    (no rank-drop test: only their sigma_n is compared), so that genuinely
-    singular pencils report an essentially zero margin; the others are
-    random.  The loop stops when the best value is below 1e-15, when no
+    best of the unit vectors e_k and the candidates of ``_structured_roots``
+    (by sigma_n alone), so that genuinely singular pencils report an
+    essentially zero margin; the others are random.  The loop stops when the best value is below 1e-15, when no
     start lowers its value by more than a relative 1e-12, or after
     ``budget.iters`` rounds.  The result is an upper estimate of the true
     margin: strictly positive values are evidence of full column rank
@@ -726,9 +737,7 @@ def afcr_margin_info(Y: Tensor3, budget: MarginBudget | None = None,
     """
     budget = budget or MarginBudget()
     rng = np.random.default_rng(seed)
-    u, n, m = Y.d1, Y.d2, Y.d3
-    if u < n:
-        raise ValueError(f"pencil must be tall: u={u} < n={n}")
+    n, m = Y.d2, Y.d3
     roots = _structured_roots(Y, rng)
     candidates = np.vstack([np.eye(m)] + ([] if roots is None else [roots]))
     values = np.linalg.svd(_pencils(candidates, Y), compute_uv=False)[:, n - 1]
@@ -775,27 +784,18 @@ def corner_minors(a, Y: Tensor3) -> np.ndarray:
                      for k in range(n, u + 1)])
 
 
-def _det_grad_rows(sub: np.ndarray, repl: np.ndarray) -> float:
-    # d/dt det(sub + t*repl) at t=0 via row replacements
-    total = 0.0
-    for r in range(sub.shape[0]):
-        tmp = sub.copy()
-        tmp[r, :] = repl[r, :]
-        total += np.linalg.det(tmp)
-    return total
-
-
-def corner_minor_jacobian(a, Y: Tensor3, dims: ProblemDims) -> np.ndarray:
-    """Jacobian of the corner minors with respect to the last v pencil
-    coordinates, evaluated at ``a`` (a v x v matrix)."""
-    a = np.asarray(a, dtype=float)
+def corner_minor_jacobian(a, Y: Tensor3) -> np.ndarray:
+    """Jacobian of the v = u - n + 1 corner minors with respect to the last
+    v pencil coordinates, evaluated at ``a`` (a v x v matrix).  The
+    derivative of det(S + t Y_s[rows]) at t = 0 is the sum of the
+    determinants of S with one row r replaced by row r of Y_s[rows]."""
     M = contract_pencil(a, Y)
-    u, n, m, v = Y.d1, Y.d2, Y.d3, dims.v
-    rows_base = list(range(n - 1))
-    J = np.zeros((u - n + 1, v))
+    u, n, m, v = Y.d1, Y.d2, Y.d3, Y.d1 - Y.d2 + 1
+    J = np.zeros((v, v))
     for ki, k in enumerate(range(n - 1, u)):
-        rows = rows_base + [k]
-        sub = M[rows, :]
+        rows = list(range(n - 1)) + [k]
         for si, s in enumerate(range(m - v, m)):
-            J[ki, si] = _det_grad_rows(sub, Y.data[s][rows, :])
+            S = np.repeat(M[None, rows], n, axis=0)
+            S[np.arange(n), np.arange(n)] = Y.data[s][rows]
+            J[ki, si] = np.linalg.det(S).sum()
     return J

@@ -261,7 +261,7 @@ def test_criterion_8_property_suites():
     for _ in range(50):
         Y = Tensor3(rng.standard_normal((3, 4, 3)))
         a = rng.standard_normal(3)
-        J = corner_minor_jacobian(a, Y, dims)
+        J = corner_minor_jacobian(a, Y)
         for si, s in enumerate(range(dims.m - dims.v, dims.m)):
             ap, am = a.copy(), a.copy()
             ap[s] += step

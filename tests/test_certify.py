@@ -22,11 +22,7 @@ from rankatlas.certify import (
 from rankatlas import pencil
 from rankatlas.pencil import (ProblemDims, RootCount, Tensor3, afcr_margin,
                               flatten)
-
-
-def tensor_from_fl2(F, n, m):
-    # inverse of flatten(mode=2): rows split into m blocks of n
-    return Tensor3(np.stack([F[k * n:(k + 1) * n, :] for k in range(m)]))
+from tests_helpers import quaternion_high_rank_tensor, tensor_from_fl2
 
 
 def rank_terms_tensor(rng, n, p, m, r):
@@ -34,15 +30,6 @@ def rank_terms_tensor(rng, n, p, m, r):
     B = rng.standard_normal((p, r))
     C = rng.standard_normal((m, r))
     return Tensor3(np.einsum("ij,aj,kj->kia", A, B, C))
-
-
-def quaternion_high_rank_tensor():
-    # sigma-preimage of a pencil with full column rank on the whole sphere
-    Y = as_tensor(hypercomplex_mult(4))
-    fl1 = np.hstack(Y.slices)
-    A = -np.linalg.solve(fl1[:, 12:], fl1[:, :12])
-    F = np.vstack([np.eye(12), A])
-    return tensor_from_fl2(F, 4, 4)
 
 
 class TestSigma:

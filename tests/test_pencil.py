@@ -21,6 +21,7 @@ from rankatlas.pencil import (
 )
 from rankatlas import pencil
 from rankatlas.bilinear import as_tensor, hypercomplex_mult, restrict
+from rankatlas.certify import iota_tensor, sigma
 
 
 class TestTensor3:
@@ -83,9 +84,9 @@ class TestTensor3:
 class TestProblemDims:
     def test_derived(self):
         d = ProblemDims(m=3, n=3, p=5)
-        assert (d.u, d.l, d.v, d.t) == (4, 1, 2, 3)
+        assert (d.u, d.l, d.v) == (4, 1, 2)
         d = ProblemDims(m=4, n=4, p=12)
-        assert (d.u, d.l, d.v, d.t) == (4, 0, 1, 4)
+        assert (d.u, d.l, d.v) == (4, 0, 1)
 
     def test_window_invariants(self):
         for m in range(3, 6):
@@ -431,10 +432,21 @@ class TestRankDropSearch:
             rank_drop_search(Tensor3(np.zeros((2, 2, 3))))
 
 
-def two_param_reference(Y, rng, real_x):
+def reference_eigvals(A, B):
+    # the mask of the finite eigenvalues x of A z = x B z, and those x, as
+    # the solver takes them
+    C, t = pencil._rotated_pencil(A, B)
+    lam = np.linalg.eigvals(C)
+    al, be = lam * np.cos(t) - np.sin(t), np.cos(t) + lam * np.sin(t)
+    finite = np.abs(be) >= 1e-10 * np.maximum(1.0, np.abs(al))
+    return finite, al[finite] / be[finite]
+
+
+def two_param_reference(Y, rng):
     # the two-parameter formulas the k-parameter solver generalises, as
-    # they were written for m = 3: its k = 2 case must draw the same
-    # numbers in the same order and give the same candidates bit for bit
+    # they were written for m = 3, solved level by level: x from the
+    # Kronecker operator determinants, then y at each complex x from the
+    # realified first compression, 2n^3 branches in all
     u, n = Y.d1, Y.d2
     R = np.linalg.qr(rng.standard_normal((3, 3)))[0]
     Z = np.einsum("kl,lij->kij", R, Y.data)
@@ -444,35 +456,57 @@ def two_param_reference(Y, rng, real_x):
     A2, B2, C2 = P2 @ Z[0], P2 @ Z[1], P2 @ Z[2]
     D0 = np.kron(B1, C2) - np.kron(C1, B2)
     D1 = np.kron(C1, A2) - np.kron(A1, C2)
-    al, be = pencil._pencil_eigvals(D1, D0)
-    finite = np.abs(be) >= 1e-10 * np.maximum(1.0, np.abs(al))
-    x = al[finite] / be[finite]
-    if real_x:
-        x = x[np.abs(x.imag) <= 1e-7 * (1.0 + np.abs(x.real))].real
-        al, be = pencil._pencil_eigvals(A1 + x[:, None, None] * B1, -C1)
-    else:
-        al, be = pencil._pencil_eigvals(
-            pencil._realified(A1 + x[:, None, None] * B1),
-            pencil._realified(-C1 + 0j))
-    finite = np.abs(be) >= 1e-10 * np.maximum(1.0, np.abs(al))
-    y = al[finite] / be[finite]
-    x = np.broadcast_to(x[:, None], al.shape)[finite]
+    x = reference_eigvals(D1, D0)[1]
+    finite, y = reference_eigvals(
+        pencil._realified(A1 + x[:, None, None] * B1),
+        pencil._realified(-C1 + 0j))
+    x = np.broadcast_to(x[:, None], finite.shape)[finite]
     return R, D0, x, y
 
 
+def near_rows(Y, R, X):
+    # the mask of the candidate rows X whose a = (1, x) R has
+    # sigma_n / sigma_1 of M(a, Y) below 1e-6
+    a = np.column_stack([np.ones(len(X)), X]) @ R
+    s = np.linalg.svd(np.einsum("rk,kij->rij", a, Y.data),
+                      compute_uv=False)
+    return s[:, -1] < 1e-6 * s[:, 0]
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
-@pytest.mark.parametrize("real_x", [True, False])
-def test_two_parameter_case_is_bit_identical(n, real_x):
+def test_two_parameter_case_keeps_the_reference_roots(n):
+    # the k = 2 case draws the same numbers in the same order as the
+    # reference, so R and Delta0 are equal bit for bit; its n^2 candidates,
+    # one per joint eigenvector, hold every root the reference's 2n^3
+    # branches find near the locus
     for trial in range(3):
         Y = Tensor3(np.random.default_rng([60, n, trial]).standard_normal(
             (3, n + 1, n)))
-        R, D0, x, y = two_param_reference(Y, np.random.default_rng(trial),
-                                          real_x)
+        R, D0, x, y = two_param_reference(Y, np.random.default_rng(trial))
         (R2,), D02, X, _ = pencil._slice_candidates(
-            Y, np.random.default_rng(trial), 1, real_x)
+            Y, np.random.default_rng(trial), 1)
         assert np.array_equal(R, R2)
         assert np.array_equal(D0, D02)
-        assert np.array_equal(X, np.column_stack([x, y]))
+        assert X.shape == (n ** 2, 2)
+        ref = np.column_stack([x, y])
+        ref = ref[near_rows(Y, R, ref)]
+        assert len(ref) >= n * (n + 1) // 2
+        gap = np.abs(ref[:, None] - X[None]).max(axis=2).min(axis=1)
+        assert np.all(gap <= 1e-8 * (1 + np.abs(ref).max(axis=1)))
+
+
+def test_three_parameter_candidates_hold_the_locus():
+    # the pencil of a Gaussian 4x10x4 tensor is 6 x 4 with four slices:
+    # k = 3, one slice, n^3 = 64 candidates, of which the C(6, 3) = 20
+    # points of the finite locus are near
+    for i in range(3):
+        T = Tensor3(np.random.default_rng([61, i]).standard_normal(
+            (4, 4, 10)))
+        W = iota_tensor(sigma(T), 4, 4)
+        (R,), _, X, _ = pencil._slice_candidates(
+            W, np.random.default_rng(i), 1)
+        assert X.shape == (64, 3)
+        assert near_rows(W, R, X).sum() == 20
 
 
 @pytest.mark.parametrize("shape", [(3, 4, 4), (4, 5, 4), (3, 4, 3)])
@@ -587,7 +621,7 @@ class TestPointRegularity:
         for _ in range(20):
             Y = Tensor3(rng.standard_normal((3, 4, 3)))
             a = rng.standard_normal(3)
-            J = corner_minor_jacobian(a, Y, dims)
+            J = corner_minor_jacobian(a, Y)
             for si, s in enumerate(range(dims.m - dims.v, dims.m)):
                 ap, am = a.copy(), a.copy()
                 ap[s] += step
