@@ -442,11 +442,12 @@ def reference_eigvals(A, B):
     return finite, al[finite] / be[finite]
 
 
-def two_param_reference(Y, rng):
+def two_param_reference(Y, rng, real_x):
     # the two-parameter formulas the k-parameter solver generalises, as
     # they were written for m = 3, solved level by level: x from the
-    # Kronecker operator determinants, then y at each complex x from the
-    # realified first compression, 2n^3 branches in all
+    # Kronecker operator determinants, then y at each x from the first
+    # compression, either at the real x only or at every complex x through
+    # its realified form (2n^3 branches in all)
     u, n = Y.d1, Y.d2
     R = np.linalg.qr(rng.standard_normal((3, 3)))[0]
     Z = np.einsum("kl,lij->kij", R, Y.data)
@@ -457,9 +458,14 @@ def two_param_reference(Y, rng):
     D0 = np.kron(B1, C2) - np.kron(C1, B2)
     D1 = np.kron(C1, A2) - np.kron(A1, C2)
     x = reference_eigvals(D1, D0)[1]
-    finite, y = reference_eigvals(
-        pencil._realified(A1 + x[:, None, None] * B1),
-        pencil._realified(-C1 + 0j))
+    if real_x:
+        x = x[np.abs(x.imag) <= 1e-7 * (1.0 + np.abs(x.real))].real
+        A = A1 + x[:, None, None] * B1
+        finite, y = reference_eigvals(A, np.broadcast_to(-C1, A.shape))
+    else:
+        finite, y = reference_eigvals(
+            pencil._realified(A1 + x[:, None, None] * B1),
+            pencil._realified(-C1 + 0j))
     x = np.broadcast_to(x[:, None], finite.shape)[finite]
     return R, D0, x, y
 
@@ -474,15 +480,17 @@ def near_rows(Y, R, X):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_two_parameter_case_keeps_the_reference_roots(n):
+@pytest.mark.parametrize("real_x", [True, False])
+def test_two_parameter_case_is_bit_identical(n, real_x):
     # the k = 2 case draws the same numbers in the same order as the
     # reference, so R and Delta0 are equal bit for bit; its n^2 candidates,
-    # one per joint eigenvector, hold every root the reference's 2n^3
-    # branches find near the locus
+    # one per joint eigenvector, hold every root the reference's branches
+    # find near the locus, at real x or at all x
     for trial in range(3):
         Y = Tensor3(np.random.default_rng([60, n, trial]).standard_normal(
             (3, n + 1, n)))
-        R, D0, x, y = two_param_reference(Y, np.random.default_rng(trial))
+        R, D0, x, y = two_param_reference(Y, np.random.default_rng(trial),
+                                          real_x)
         (R2,), D02, X, _ = pencil._slice_candidates(
             Y, np.random.default_rng(trial), 1)
         assert np.array_equal(R, R2)
@@ -490,7 +498,8 @@ def test_two_parameter_case_keeps_the_reference_roots(n):
         assert X.shape == (n ** 2, 2)
         ref = np.column_stack([x, y])
         ref = ref[near_rows(Y, R, ref)]
-        assert len(ref) >= n * (n + 1) // 2
+        if not real_x:
+            assert len(ref) >= n * (n + 1) // 2
         gap = np.abs(ref[:, None] - X[None]).max(axis=2).min(axis=1)
         assert np.all(gap <= 1e-8 * (1 + np.abs(ref).max(axis=1)))
 
