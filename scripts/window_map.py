@@ -11,9 +11,9 @@ with 3 <= m <= 5, m <= n <= 7 and (m-1)(n-1)+1 <= p <= (m-1)n, 34 in all.
 Samples 0..N-1 of a shape are drawn and certified as in
 ``verdict_corpus.py`` (tensor i from ``default_rng([7, n, p, m, i])``), so
 the verdict digest of a shape is the one that script prints for the same
-count.  The path is the one ``certify`` takes: ``count`` (the m = 3
-corner), ``square`` (k = 1), ``whole`` (m = k + 1), ``sliced`` or
-``none`` (k > m - 1, or n^k above ``pencil.MAX_KRON``), where
+count.  The path is the one ``certify`` takes, by
+``pencil.solver_path``: ``count`` (the corner k = m - 1), ``square``
+(k = 1), ``sliced`` or ``none`` (n^k above ``pencil.MAX_KRON``), where
 k = u - n + 1 and u = mn - p.
 
 It exits 1 when a shape that ``classify`` calls unique gives a
@@ -34,18 +34,6 @@ from rankatlas.classify import classify
 KINDS = ("RankP", "RankExceedsP", "Inconclusive")
 SHAPES = tuple(f"{n}x{p}x{m}" for m in range(3, 6) for n in range(m, 8)
                for p in range((m - 1) * (n - 1) + 1, (m - 1) * n + 1))
-
-
-def solver_path(n, p, m):
-    """The codimension k of the rank-drop locus and the path certify
-    takes for the shape."""
-    u = m * n - p
-    k = u - n + 1
-    if (m, u) == (3, n + 1):
-        return k, "count"
-    if k > m - 1 or n ** k > pencil.MAX_KRON:
-        return k, "none"
-    return k, "whole" if m == k + 1 else "square" if k == 1 else "sliced"
 
 
 def typical_set(result):
@@ -74,8 +62,9 @@ def main(argv=None):
         labels, ms = run_shape(n, p, m, args.samples)
         kinds = Counter(kind for kind, *_ in labels)
         verdicts = [(kind, points, span) for kind, _, points, span in labels]
-        k, path = solver_path(n, p, m)
-        print(f"{shape}\t{k}\t{path}\t{typical_set(typical)}\t"
+        u = m * n - p
+        print(f"{shape}\t{u - n + 1}\t{pencil.solver_path(u, n, m)}\t"
+              f"{typical_set(typical)}\t"
               + "\t".join(str(kinds[kind]) for kind in KINDS)
               + f"\t{statistics.median(ms):.2f}\t{sha256(verdicts)}")
         sys.stdout.flush()

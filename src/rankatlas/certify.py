@@ -5,7 +5,7 @@ reduced to a u x p matrix (``sigma``), embedded as a pencil with trailing
 -E_u block (``iota``), and interrogated through the real rank-drop points
 of that pencil: when their ``phi`` images span R^p, they assemble an
 explicit p-term decomposition certifying rank == p.  At the corner
-p = 2n - 1 of m = 3 one certified count of the complex rank-drop points
+p = (m-1)(n-1) + 1 one certified count of the complex rank-drop points
 decides: its real roots supply the points, and fewer than p real roots give
 rank > p.  Elsewhere one rank-drop search supplies them, and only a search
 that ran and found no point runs the full-column-rank margin, whose
@@ -34,6 +34,7 @@ from .pencil import (
     corner_root_count,
     flatten,
     rank_drop_search,
+    solver_path,
 )
 
 __all__ = [
@@ -167,9 +168,9 @@ class RankP:
 @dataclass(frozen=True)
 class RankExceedsP:
     """rank T > p, witnessed by exactly one of a best-found pencil margin,
-    off the corner, and a certified root count at the corner p = 2n - 1 of
-    m = 3: all ``roots.degree`` complex rank-drop points of W, fewer than p
-    of them real."""
+    off the corner, and a certified root count at the corner
+    p = (m-1)(n-1) + 1: all ``roots.degree`` = C(n+m-2, m-1) complex
+    rank-drop points of W, fewer than p of them real."""
 
     margin: float | None = None
     roots: RootCount | None = None
@@ -287,67 +288,61 @@ def certify(T: Tensor3, budget: CertifyBudget | None = None,
     max |T| so that residuals stay finite at any scale.  Real rank-drop
     points of W whose phi images span R^p give a p-term reconstruction,
     which is verified; that is RankP.  Where the points come from, and
-    what decides rank > p without them, depends on the region:
+    what decides rank > p without them, depends on ``solver_path``:
 
-    - the corner p = (m-1)(n-1) + 1 with m = 3, where W is (n+1) x n: one
+    - "none" (n^k above ``pencil.MAX_KRON``, k = u - n + 1): Inconclusive
+      with the diagnostic ``search: "none"``.
+    - "count", the corner p = (m-1)(n-1) + 1, where u = n + m - 2: one
       ``corner_root_count``.  Its certified real roots are the points, and
       fewer than p of them give rank > p.  A count that does not certify
       gives Inconclusive with the diagnostic ``count: "uncertified"``.
     - elsewhere: one ``rank_drop_search``.  A found point rules out
-      rank > p.  Only a search that ran and found no point runs the margin
+      rank > p.  Only a search that found no point runs the margin
       estimate ``afcr_margin_info`` (``margin_restarts`` starts,
       ``margin_iters`` rounds), and its best-found value above
       ``TOL_MARGIN`` gives rank > p.
-    - no solver for the shape (n^k above ``pencil.MAX_KRON``, with
-      k = u - n + 1): Inconclusive with the diagnostic ``search: "none"``.
 
     Why the count decides the corner.  Lemma: if the complex rank-drop
-    locus of W in P^2 is finite and the kernel at each of its points is
+    locus of W in P^(m-1) is finite and the kernel at each of its points is
     one-dimensional, then rank T == p implies that at least p of its points
     are real.  Proof: a p-term decomposition of T gives p real rank-drop
-    points (d_j, b_j) with independent phi images, so no two pairs are
-    proportional, and with one-dimensional kernels the d_j are p distinct
-    real points of the locus.  A finite locus has degree C(u, n-1) counted
-    with multiplicity.  ``corner_root_count`` checks that the locus is
-    finite (a nonsingular Delta0 in its two-parameter solve) and certifies
-    C(u, n-1) pairwise distinct simple roots, so it has found every point,
-    each with a one-dimensional kernel.  This is a floating-point
-    certificate, its Newton-Kantorovich balls computed in floating point
-    with slack for rounding, not interval arithmetic.  The dichotomy of
-    Sumi, Miyazaki and Sakata (the real locus is empty or Zariski-dense)
-    covers p >= (m-1)(n-1) + 2 only; at the corner the locus is finite
-    instead, which is what makes the count possible.
+    points (d_j, b_j) with independent phi images.  phi is bilinear at
+    every m, so no two pairs are proportional, and with one-dimensional
+    kernels no two d_j are equal: they are p distinct real points of the
+    locus.  A finite locus has codimension m - 1 and degree
+    C(u, n-1) = C(n+m-2, m-1) with multiplicity (Eagon-Northcott), and
+    ``corner_root_count`` checks finiteness (a nonsingular Delta0) and
+    certifies C(u, n-1) distinct simple roots: every point, each with a
+    one-dimensional kernel.  The certificate is floating-point, its
+    Newton-Kantorovich balls computed with slack for rounding, not interval
+    arithmetic.  The dichotomy of Sumi, Miyazaki and Sakata (the real locus
+    is empty or Zariski-dense) covers p >= (m-1)(n-1) + 2 only; at the
+    corner the locus is finite instead, which makes the count possible.
     """
     budget = budget or CertifyBudget()
     rng = np.random.default_rng(seed)
     dims = ProblemDims(m=T.d3, n=T.d1, p=T.d2)
     T = _binary_scaled(T)[0]
     W = iota_tensor(sigma(T), dims.n, dims.m)
-
-    if (dims.m, dims.u) == (3, dims.n + 1):
+    path, roots, diagnostics = solver_path(*W.dims), None, {}
+    if path == "none":  # nothing can be searched or counted
+        return Inconclusive(diagnostics={"search": "none"})
+    if path == "count":
         roots = corner_root_count(W, seed=rng)
-        diagnostics = {"degree": math.comb(dims.u, dims.n - 1)}
+        diagnostics["degree"] = math.comb(dims.u, dims.n - 1)
         if roots is None:
-            return Inconclusive(diagnostics={**diagnostics,
-                                             "count": "uncertified"})
+            return Inconclusive({**diagnostics, "count": "uncertified"})
         real = roots.roots[roots.real].real
         diagnostics.update(roots_found=len(roots.roots), roots_real=len(real))
         found = _kernel_points(W, real)
-        cert = _collect_certificate(T, W, dims, found, diagnostics)
-        if cert is not None:
-            return RankP(certificate=cert, diagnostics=diagnostics)
-        if len(real) < dims.p:
-            return RankExceedsP(roots=roots)
-        return Inconclusive(diagnostics=diagnostics)
-
-    diagnostics = {}
-    found = rank_drop_search(W, seed=rng)
-    if found is None:  # no solver for this shape: nothing was searched
-        return Inconclusive(diagnostics={"search": "none"})
+    else:
+        found = rank_drop_search(W, seed=rng)
     cert = _collect_certificate(T, W, dims, found, diagnostics)
     if cert is not None:
         return RankP(certificate=cert, diagnostics=diagnostics)
-    if found:  # a real point rules out rank > p
+    if roots is not None and len(real) < dims.p:
+        return RankExceedsP(roots=roots)
+    if found or roots is not None:  # no margin after a point or a count
         return Inconclusive(diagnostics=diagnostics)
 
     margin_budget = MarginBudget(restarts=budget.margin_restarts,

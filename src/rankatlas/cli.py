@@ -27,7 +27,7 @@ from .bilinear import (
 from .certify import Inconclusive, RankExceedsP, RankP, certify
 from .classify import classify
 from .hopf import build_bounds_table
-from .pencil import TOL_MARGIN, Tensor3, is_afcr
+from .pencil import TOL_MARGIN, Tensor3, _binary_scaled, is_afcr
 from .experiments import ExperimentConfig, run_experiment
 
 
@@ -86,7 +86,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_afcr(args) -> int:
     Y = _read_tensor(args.file)
     ok, margin_norm = is_afcr(Y, seed=args.seed)
-    margin = margin_norm * Y.norm()  # report on the tensor's own scale
+    scaled, e = _binary_scaled(Y)  # the tensor's own scale, no overflow
+    margin = float(np.ldexp(margin_norm * scaled.norm(), e))
     if args.json:
         print(json.dumps({"afcr": ok, "margin": margin,
                           "normalized_margin": margin_norm,

@@ -34,6 +34,7 @@ __all__ = [
     "is_afcr",
     "rank_drop_search",
     "corner_root_count",
+    "solver_path",
     "corner_minors",
     "corner_minor_jacobian",
 ]
@@ -323,10 +324,23 @@ def kernel_vector_psi(a, Y: Tensor3, rows) -> np.ndarray:
 
 LINES = 40  # random lines (2-dim slices) per search of a square pencil
 SLICES = 8  # random (k+1)-dim slices per search of a pencil with m > k + 1
-MAX_KRON = 512  # largest n^k of the Kronecker eigenproblem a search solves
+MAX_KRON = 512  # largest n^k of the Kronecker eigenproblem a solve takes
 DEDUP_TOL = 1e-6  # distance below which two unit points are one
 TOL_RANKDROP = 1e-8  # sigma_n / sigma_1 below which a is a rank-drop point
 TOL_MARGIN = 1e-6  # normalised margin above which a pencil has full rank
+
+
+def solver_path(u: int, n: int, m: int) -> str:
+    """The solver of the rank-drop locus of a u x n x m pencil, of
+    codimension k = u - n + 1: "none" for k > m - 1 (an empty locus for
+    generic Y) or n^k above ``MAX_KRON``, "count" at the corner k = m - 1
+    (a finite locus), "square" at k = 1 and "sliced" otherwise."""
+    if u < n:
+        raise ValueError(f"pencil must be tall: u={u} < n={n}")
+    k = u - n + 1
+    if k > m - 1 or n ** k > MAX_KRON:
+        return "none"
+    return "count" if k == m - 1 else "square" if k == 1 else "sliced"
 
 
 def _require_ints(obj, names, least=None) -> None:
@@ -559,29 +573,26 @@ def _kantorovich_radii(Z: np.ndarray, z: np.ndarray, j: np.ndarray):
 
 def corner_root_count(Y: Tensor3, seed: int | np.random.Generator = 0
                       ) -> RootCount | None:
-    """Every complex rank-drop point of a 3-slice (n+1) x n pencil, each
-    certified in its own ball, or None when the count cannot be certified.
+    """Every complex rank-drop point of a corner pencil (``solver_path``
+    "count", u = n + m - 2), each in a certified ball; None if uncertified.
 
-    The n^2 complex candidates of ``_slice_candidates`` near the locus
-    (``_near_kernels``) are polished by ``_newton`` in an affine chart
-    (1, x_1, x_2) chosen to keep every one far from infinity, and certified
-    by Newton-Kantorovich: a root is real when the ball centred on its real
-    projection certifies, and non-real when its certified ball misses the
-    real space.  The count is returned only when Delta0 is nonsingular,
-    which makes the rank-drop locus finite, of degree C(u, n-1) = C(n+1, 2)
-    counted with multiplicity, and when exactly that many pairwise
-    disjoint balls certify, so that every point of the locus is found once
+    The n^k complex candidates, k = m - 1, of ``_slice_candidates`` near
+    the locus (``_near_kernels``) are polished by ``_newton`` in an affine
+    chart (1, x_1 ... x_k) chosen to keep every one far from infinity, and
+    certified by Newton-Kantorovich: a root is real when the ball centred on
+    its real projection certifies, and non-real when its certified ball
+    misses the real space.  The count is returned only when Delta0 is
+    nonsingular, which makes the locus in P^k finite, of degree
+    C(u, n-1) = C(n+m-2, m-1) with multiplicity (Eagon-Northcott), and when
+    that many pairwise disjoint balls certify: every point is found once
     and is simple.  Floating-point evidence, not interval arithmetic.
     """
     u, n, m = Y.d1, Y.d2, Y.d3
-    if (m, u) != (3, n + 1):
-        raise ValueError(f"root count needs a 3-slice (n+1) x n pencil, "
-                         f"got {u}x{n}x{m}")
+    if solver_path(u, n, m) != "count":
+        raise ValueError(f"no root count for a {u}x{n}x{m} pencil")
     k, degree = m - 1, math.comb(u, n - 1)
     rng = np.random.default_rng(seed)
-    # the locus does not change with scale; an exact power of two keeps
-    # the Kronecker products of the solve in range
-    Y = _binary_scaled(Y)[0]
+    Y = _binary_scaled(Y)[0]  # same locus, Kronecker products in range
     try:
         with np.errstate(all="ignore"):
             (R,), D0, X, _ = _slice_candidates(Y, rng, 1)
@@ -621,8 +632,8 @@ def corner_root_count(Y: Tensor3, seed: int | np.random.Generator = 0
     # a kept one holds a root already counted or one beyond the degree
     x, kept = centres[:, :k], []
     for i in np.argsort(radii, kind="stable")[:np.isfinite(radii).sum()]:
-        if all(np.linalg.norm(x[i] - x[j]) > radii[i] + radii[j]
-               for j in kept):
+        if np.all(np.linalg.norm(x[kept] - x[i], axis=1)
+                  > radii[i] + radii[kept]):
             kept.append(i)
     if len(kept) != degree:
         return None
@@ -634,25 +645,18 @@ def corner_root_count(Y: Tensor3, seed: int | np.random.Generator = 0
 
 
 def _structured_roots(Y: Tensor3, rng):
-    """Unit rank-drop candidates of Y, or None when no solver applies to
-    its shape, from one call of ``_slice_candidates`` with the codimension
-    k = u - n + 1 of the locus: on 1 slice, the whole pencil, when
-    m = k + 1; on ``LINES`` random lines when k = 1 < m - 1; on ``SLICES``
-    random (k+1)-dim slices otherwise; none for k > m - 1, an empty locus
-    for generic Y, or n^k above ``MAX_KRON``.  Candidates with every
-    coordinate real become unit a, at k >= 2 after those near the locus
-    (``_near_kernels``) are polished by ``_newton`` in their slice.  None
-    is tested here: ``_kernel_points`` keeps the rank-drop points among
-    them, and ``afcr_margin_info`` starts from the best."""
-    u, n, m = Y.d1, Y.d2, Y.d3
-    k = u - n + 1
-    if u < n:
-        raise ValueError(f"pencil must be tall: u={u} < n={n}")
-    if k > m - 1 or n ** k > MAX_KRON:
+    """Unit rank-drop candidates of Y, None on the ``solver_path`` "none",
+    from one ``_slice_candidates`` call on the whole pencil at the corner,
+    ``LINES`` random lines at k = 1, else ``SLICES`` (k+1)-dim slices.  The
+    candidates with all coordinates real, at k >= 2 polished by ``_newton``
+    where near the locus (``_near_kernels``), become unit a, untested:
+    ``_kernel_points`` keeps the rank-drop points among them."""
+    path, k = solver_path(*Y.dims), Y.d1 - Y.d2 + 1
+    if path == "none":
         return None
-    slices = 1 if m == k + 1 else LINES if k == 1 else SLICES
     try:
-        R, _, X, rows = _slice_candidates(Y, rng, slices)
+        R, _, X, rows = _slice_candidates(
+            Y, rng, {"count": 1, "square": LINES, "sliced": SLICES}[path])
         c = np.column_stack([np.ones(len(X)), X.real])
         real = np.all(np.abs(X.imag) <= 1e-7 * np.max(
             np.abs(c), axis=1, keepdims=True), axis=1)
@@ -664,7 +668,7 @@ def _structured_roots(Y: Tensor3, rng):
                                   c[near, 1:], b)[0][:, :k]
             a = np.einsum("rc,rck->rk", c, R)
     except np.linalg.LinAlgError:
-        return np.empty((0, m))
+        return np.empty((0, Y.d3))
     return a / np.linalg.norm(a, axis=1, keepdims=True)
 
 
@@ -768,10 +772,10 @@ def is_afcr(Y: Tensor3, budget: MarginBudget | None = None,
     Returns (classification, normalized margin); margin above
     ``TOL_MARGIN`` counts as full column rank on the whole sphere.
     """
-    norm = Y.norm()
-    if norm == 0:
+    Y = _binary_scaled(Y)[0]  # keeps the norm finite and nonzero
+    if Y.norm() == 0:
         return False, 0.0
-    margin = afcr_margin(Y.scaled(1.0 / norm), budget, seed)
+    margin = afcr_margin(Y.scaled(1.0 / Y.norm()), budget, seed)
     return margin > TOL_MARGIN, margin
 
 

@@ -1,4 +1,5 @@
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -335,7 +336,8 @@ class TestCertify:
         # the root count's solve is the only one: its real roots are the
         # points a rank-p certificate is assembled from, and no search or
         # margin runs, whatever the count finds.  sigma(T) = 0 gives the
-        # pencil a line of rank-drop points, so its count does not certify
+        # pencil a line of rank-drop points, so its count does not certify.
+        # The 4x10x4 corner is counted the same way, in three parameters
         pencil_mod = importlib.import_module("rankatlas.pencil")
         certify_mod = importlib.import_module("rankatlas.certify")
         solve = pencil_mod._slice_candidates
@@ -354,8 +356,10 @@ class TestCertify:
         rect = Tensor3(np.random.default_rng(14).standard_normal((3, 3, 5)))
         line = tensor_from_fl2(np.vstack([np.eye(5), np.zeros((4, 5))]), 3, 3)
         planted = rank_terms_tensor(np.random.default_rng(41), 3, 5, 3, 5)
-        for T, kind in ((rect, "RankExceedsP"), (line, "Inconclusive"),
-                        (planted, "RankP")):
+        m4 = Tensor3(np.random.default_rng([44, 4]).standard_normal(
+            (4, 4, 10)))
+        for T, kind in ((m4, "RankExceedsP"), (rect, "RankExceedsP"),
+                        (line, "Inconclusive"), (planted, "RankP")):
             calls.clear()
             verdict = certify(T, seed=0)
             assert verdict.kind == kind
@@ -422,33 +426,39 @@ class TestRootCountVerdict:
                 assert verdict.roots.degree == len(verdict.roots.roots) == 6
                 assert verdict.roots.real.sum() in (0, 2, 4)
 
-    @pytest.mark.parametrize("n", [4, 5])
-    def test_other_corner_shapes(self, n):
-        # 4x7x3 and 5x9x3: degree C(n+1, 2) = 10 and 15
-        rng = np.random.default_rng(40 + n)
-        for i in range(3):
-            T = Tensor3(rng.standard_normal((3, n, 2 * n - 1)))
+    @pytest.mark.parametrize("m, n, samples", [(3, 4, 3), (3, 5, 3),
+                                               (4, 4, 8)],
+                             ids=["4", "5", "m4-4"])
+    def test_other_corner_shapes(self, m, n, samples):
+        # 4x7x3, 5x9x3 and 4x10x4: degree C(n+m-2, m-1) = 10, 15 and 20
+        rng = np.random.default_rng(40 + n if m == 3 else [40 + n, m])
+        p = (m - 1) * (n - 1) + 1
+        for i in range(samples):
+            T = Tensor3(rng.standard_normal((m, n, p)))
             verdict = certify(T, seed=i)
             assert verdict.kind in ("RankP", "RankExceedsP")
             if isinstance(verdict, RankExceedsP):
-                assert verdict.roots.degree == n * (n + 1) // 2
-                assert verdict.roots.real.sum() < 2 * n - 1
+                assert verdict.roots.degree == math.comb(n + m - 2, m - 1)
+                assert verdict.roots.real.sum() < p
 
     def test_planted_rank_p_never_exceeds(self, monkeypatch):
-        # with the assembly of the rank-5 certificate blocked, the count
-        # still finds at least p real roots and refuses rank > p
+        # with the assembly of the rank-p certificate blocked, the count
+        # still finds at least p real roots and refuses rank > p: at the
+        # 3x5x3 corner (degree 6) and the 4x10x4 one (degree 20)
         certify_mod = importlib.import_module("rankatlas.certify")
-        rng = np.random.default_rng(41)
-        for i in range(8):
-            T = rank_terms_tensor(rng, 3, 5, 3, 5)
-            assert isinstance(certify(T, seed=i), RankP)
-            with monkeypatch.context() as patch:
-                patch.setattr(certify_mod, "COND_LIMIT_N", 1.0)
-                verdict = certify(T, seed=i)
-            assert isinstance(verdict, Inconclusive)
-            assert verdict.diagnostics["degree"] == 6
-            assert verdict.diagnostics["roots_found"] == 6
-            assert verdict.diagnostics["roots_real"] >= 5
+        for n, p, m, degree, seed in ((3, 5, 3, 6, 41), (4, 10, 4, 20,
+                                                         [41, 4])):
+            rng = np.random.default_rng(seed)
+            for i in range(8):
+                T = rank_terms_tensor(rng, n, p, m, p)
+                assert isinstance(certify(T, seed=i), RankP)
+                with monkeypatch.context() as patch:
+                    patch.setattr(certify_mod, "COND_LIMIT_N", 1.0)
+                    verdict = certify(T, seed=i)
+                assert isinstance(verdict, Inconclusive)
+                assert verdict.diagnostics["degree"] == degree
+                assert verdict.diagnostics["roots_found"] == degree
+                assert verdict.diagnostics["roots_real"] >= p
 
     def test_uncertified_count_is_inconclusive(self, monkeypatch):
         # the count alone decides the corner: without it no search supplies
@@ -462,12 +472,13 @@ class TestRootCountVerdict:
                             lambda *args, **kwargs: None)
         monkeypatch.setattr(certify_mod, "rank_drop_search", never)
         monkeypatch.setattr(certify_mod, "afcr_margin_info", never)
-        rng = np.random.default_rng(14)
-        for i in range(5):
-            verdict = certify(Tensor3(rng.standard_normal((3, 3, 5))), seed=i)
-            assert isinstance(verdict, Inconclusive)
-            assert verdict.diagnostics == {"degree": 6,
-                                           "count": "uncertified"}
+        for shape, degree in (((3, 3, 5), 6), ((4, 4, 10), 20)):
+            rng = np.random.default_rng(14)
+            for i in range(5):
+                verdict = certify(Tensor3(rng.standard_normal(shape)), seed=i)
+                assert isinstance(verdict, Inconclusive)
+                assert verdict.diagnostics == {"degree": degree,
+                                               "count": "uncertified"}
 
     def test_als_does_not_fit_newly_decided_samples(self):
         # samples the count decides and the search alone left Inconclusive

@@ -95,6 +95,22 @@ class TestAfcrCommand:
         assert payload["margin"] == pytest.approx(1.0, abs=1e-9)
         assert payload["normalized_margin"] == pytest.approx(0.25, abs=1e-9)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_margin_on_the_tensor_scale(self, capsys, tmp_path, scale):
+        # the quaternion pencil has margin 1; its norm at these scales would
+        # overflow or underflow if taken directly
+        path = tmp_path / "quaternion_tensor.json"
+        invoke(capsys, "make-bilinear", "--kind", "cd", "--dim", "4",
+               "--tensor", "--out", str(path))
+        path.write_text(Tensor3.from_json(path.read_text()).scaled(scale)
+                        .to_json())
+        code, out, _ = invoke(capsys, "afcr", str(path), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["afcr"] is True
+        assert payload["margin"] == pytest.approx(scale, rel=1e-9)
+        assert payload["normalized_margin"] == pytest.approx(0.25, rel=1e-9)
+
     def test_missing_field_named(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"dims": [2, 2, 2]}')

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -271,6 +273,24 @@ class TestAfcrMargin:
         Y = as_tensor(hypercomplex_mult(4))
         assert afcr_margin(Y, seed=0) == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e-170, 1.0, 1e200])
+    def test_scale_does_not_change_the_classification(self, scale):
+        # the norm of the pencil is taken after an exact power-of-two
+        # rescaling, so it neither overflows nor underflows
+        quat = as_tensor(hypercomplex_mult(4))
+        ok, margin = is_afcr(quat.scaled(scale), seed=0)
+        assert ok
+        assert margin == pytest.approx(is_afcr(quat, seed=0)[1], rel=1e-12)
+        assert margin == pytest.approx(0.25, rel=1e-12)
+        # a 4 x 3 x 3 pencil with a planted real point a0, M(a0) b0 = 0
+        rng = np.random.default_rng(19)
+        Y = rng.standard_normal((3, 4, 3))
+        a0, b0 = (v / np.linalg.norm(v) for v in
+                  (rng.standard_normal(3), rng.standard_normal(3)))
+        Y -= np.einsum("k,i,j->kij", a0, np.einsum("k,kij,j->i", a0, Y, b0),
+                       b0)
+        assert not is_afcr(Tensor3(Y * scale), seed=0)[0]
+
     def test_singular_slice_gives_zero(self):
         rng = np.random.default_rng(12)
         slices = [rng.standard_normal((3, 3)) for _ in range(2)]
@@ -424,8 +444,12 @@ class TestRankDropSearch:
         u, n, m = Y.d1, Y.d2, Y.d3
         k = u - n + 1
         assert k > m - 1 or n ** k > pencil.MAX_KRON
+        assert pencil.solver_path(u, n, m) == "none"
         assert rank_drop_search(Y, seed=0) is None
         assert pencil._structured_roots(Y, np.random.default_rng(0)) is None
+        # and no count runs, on the 8 x 5 x 5 corner either
+        with pytest.raises(ValueError):
+            corner_root_count(Y)
 
     def test_wide_pencil_rejected(self):
         with pytest.raises(ValueError):
@@ -539,14 +563,17 @@ def test_one_solver_call_per_search(monkeypatch, shape):
 
 
 class TestCornerRootCount:
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_every_root_certified(self, n):
+    @pytest.mark.parametrize("m, n", [(3, 3), (3, 4), (3, 5), (4, 3), (4, 4)],
+                             ids=["3", "4", "5", "m4-3", "m4-4"])
+    def test_every_root_certified(self, m, n):
         # the (n+1) x n pencils of the 3x5x3, 4x7x3 and 5x9x3 corners have
-        # C(n+1, 2) = 6, 10 and 15 complex rank-drop points
-        rng = np.random.default_rng(30 + n)
-        degree = n * (n + 1) // 2
+        # C(n+1, 2) = 6, 10 and 15 complex rank-drop points, the 4-slice
+        # (n+2) x n ones of the 3x7x4 and 4x10x4 corners C(n+2, 3) = 10
+        # and 20
+        rng = np.random.default_rng(30 + n if m == 3 else [30 + n, m])
+        degree = math.comb(n + m - 2, m - 1)
         for trial in range(4):
-            Y = Tensor3(rng.standard_normal((3, n + 1, n)))
+            Y = Tensor3(rng.standard_normal((m, n + m - 2, n)))
             count = corner_root_count(Y, seed=trial)
             assert count is not None
             assert count.degree == len(count.roots) == degree
@@ -581,13 +608,17 @@ class TestCornerRootCount:
         assert scaled.real.sum() == plain.real.sum()
 
     def test_infinite_locus_is_not_counted(self):
-        # a zero column drops the rank everywhere: no finite count exists
-        Y = np.random.default_rng(34).standard_normal((3, 4, 3))
-        Y[:, :, 0] = 0.0
-        assert corner_root_count(Tensor3(Y), seed=0) is None
+        # a zero column drops the rank everywhere: no finite count exists,
+        # with three slices or four
+        for shape in ((3, 4, 3), (4, 5, 3)):
+            Y = np.random.default_rng(34).standard_normal(shape)
+            Y[:, :, 0] = 0.0
+            assert corner_root_count(Tensor3(Y), seed=0) is None
 
-    @pytest.mark.parametrize("shape", [(3, 5, 3), (4, 4, 3), (3, 3, 3)])
+    @pytest.mark.parametrize("shape", [(3, 5, 3), (4, 4, 3), (3, 3, 3),
+                                       (4, 5, 4), (4, 6, 3)])
     def test_only_corner_pencils(self, shape):
+        # u != n + m - 2 for each: k = u - n + 1 is not m - 1
         with pytest.raises(ValueError):
             corner_root_count(Tensor3(np.ones(shape)))
 

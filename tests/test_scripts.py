@@ -50,3 +50,17 @@ def test_window_map_runs_the_m3_shapes():
                              else ("1", "square"))
         assert sum(map(int, counts)) == 1
         assert re.fullmatch(r"[0-9a-f]{64}", digest)
+
+
+def test_window_map_runs_the_m4_and_m5_corners():
+    # both corners take the one rule's paths: 4x10x4 (k = 3, n^k = 64) is
+    # counted, 5x17x5 (k = 4, n^k = 625 above pencil.MAX_KRON) has none
+    proc = subprocess.run(
+        [sys.executable, "scripts/window_map.py", "--samples", "1", "4x10x4",
+         "5x17x5"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    _, *rows = proc.stdout.splitlines()
+    paths = [tuple(row.split("\t")[:3]) for row in rows]
+    assert paths == [("4x10x4", "3", "count"), ("5x17x5", "4", "none")]
